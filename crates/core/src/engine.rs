@@ -64,11 +64,16 @@ pub trait GraphEngine {
     ///
     /// Served answers must be **byte-identical** to [`GraphEngine::rpq_batch`]
     /// under every strategy; only the simulated cost (and workload counters
-    /// such as `expansions`) may differ. Cache dependency footprints are
-    /// *not* produced by planned execution: a pruned traversal's visited set
-    /// is not a sound invalidation cover for future inserts, so deps always
-    /// come from the canonical forward path
-    /// ([`GraphEngine::rpq_batch_tracked`]).
+    /// such as `expansions`) may differ. The serving layer answers a query
+    /// with this call whenever the optimizer picks a non-forward strategy,
+    /// so the returned stats are what the client sees.
+    ///
+    /// Planned execution reports no dependency footprint: a pruned
+    /// traversal's visited set is not a sound invalidation cover for future
+    /// inserts, and the backward sweep reads every node carrying its label.
+    /// A caller that caches a planned answer must therefore use the sound
+    /// default [`QueryDeps::all`]; precise footprints come only from the
+    /// forward path ([`GraphEngine::rpq_batch_tracked`]).
     ///
     /// The default ignores the strategy and runs the canonical forward path,
     /// which is always correct; the in-tree engines override it with real

@@ -11,9 +11,10 @@
 //! property is unit-tested on every store and across the PIM engines'
 //! promotion/migration paths.
 //!
-//! Statistics are *observables of the planner only*: they never influence
-//! served results, query statistics, or dependency footprints (the
-//! plan-invariance contract in ARCHITECTURE.md §optimizer).
+//! Statistics are *inputs of the planner only*: they never influence served
+//! results (the plan-invariance contract in ARCHITECTURE.md §optimizer).
+//! They do pick the plan that serves a query, and so its query statistics;
+//! the serving cache accounts for that coupling (SERVING.md §3.5).
 
 use crate::ids::{Label, NodeId};
 use serde::{Deserialize, Serialize};

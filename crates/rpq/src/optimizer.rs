@@ -10,12 +10,13 @@
 //!
 //! # The plan-invariance contract
 //!
-//! Plan choice is **observable only as simulated cost**. Served results,
-//! query statistics, and dependency footprints are always produced by the one
-//! canonical forward NFA-product execution, so they are bit-identical under
-//! every strategy by construction; what [`choose_plan`] adds is a
-//! deterministic estimate of how much simulated work each strategy *would*
-//! perform, and the argmin over those estimates. Two further guarantees are
+//! Plan choice is **observable only as simulated cost**. Every strategy's
+//! executor answers with results bit-identical to the canonical forward
+//! NFA-product execution; only the query statistics of the executed plan
+//! differ. What [`choose_plan`] adds is a deterministic estimate of how much
+//! simulated work each strategy would perform, and the argmin over those
+//! estimates — a pure function of the statistics, so the plan (and with it
+//! the served statistics) is deterministic too. Two further guarantees are
 //! load-bearing and enforced by tests:
 //!
 //! * **Never worse than left-to-right.** [`PlanStrategy::Forward`] is always
@@ -283,7 +284,7 @@ fn leading_exact_label(expr: &RpqExpr) -> Option<Label> {
 /// executors fall back to the forward plan in that case.
 ///
 /// Because the pivot is *mandatory* (never skippable via nullability, see
-/// [`leading_exact_label`]), the suffix accepts no empty word and every
+/// `leading_exact_label`), the suffix accepts no empty word and every
 /// suffix match starts with a pivot-labelled edge — so seeding evaluation at
 /// the pivot label's exact source set loses no answers.
 pub fn split_for(expr: &RpqExpr, split_at: usize) -> Option<(RpqExpr, RpqExpr, Label)> {
@@ -407,7 +408,7 @@ fn split_cost(
 ///
 /// The forward start-frontier is `batch_size`; backward-anchored plans
 /// start from the population of possible end anchors instead (see
-/// [`seed_population`]) — the caller knows its source count but never the
+/// `seed_population`) — the caller knows its source count but never the
 /// matching target set, and an executor pays for that asymmetry.
 ///
 /// # Examples

@@ -11,7 +11,7 @@
 use crate::cache::{CacheConfig, CacheKey, CacheStats, ConsistencyMode, ResultCache};
 use crate::request::{CacheOutcome, Request, RequestId, RequestKind, Response, ResponseBody};
 use graph_store::NodeId;
-use moctopus::{GraphEngine, MoctopusConfig, QueryStats};
+use moctopus::{GraphEngine, MoctopusConfig, QueryDeps, QueryStats};
 use pim_sim::{PimSystem, SimTime};
 use std::collections::HashMap;
 
@@ -35,18 +35,24 @@ pub struct ServerConfig {
     /// hit overhead and engine time share one clock.
     pub pricing: MoctopusConfig,
     /// Run the cost-based RPQ plan optimizer (`rpq::optimizer`) on every
-    /// query execution. Plan choice is observable **only** in the
-    /// [`ServeTotals`] planning counters and [`QueryServer::last_plan`]:
-    /// served results, stats, dependency footprints, and cache behaviour are
-    /// bit-identical with the optimizer on or off (the plan-invariance
-    /// contract; enforced by `tests/plan_invariance.rs`). Default `false`.
+    /// query execution and **serve the plan it chooses**: a non-forward
+    /// choice executes through [`GraphEngine::rpq_batch_planned`], forward
+    /// stays on the canonical `rpq_batch` / `rpq_batch_tracked` path, and
+    /// each executed query makes exactly one engine call. Served results are
+    /// identical with the optimizer on or off (the plan-invariance
+    /// contract); served `QueryStats` are the executed plan's, deterministic
+    /// because the choice is a pure function of the engine's deterministic
+    /// label statistics. Because any applied update can change those
+    /// statistics, a `CostExact` cache gives every entry the
+    /// [`QueryDeps::all`] footprint while this is on (SERVING.md §3.5).
+    /// Default `false`.
     pub optimize: bool,
-    /// Force every executing query's shadow run to use this strategy instead
-    /// of whatever the optimizer chose (a `Forward` override disables shadow
-    /// runs entirely). A differential-testing knob: the executed-plan legs of
-    /// `tests/plan_invariance.rs` replay one request log under forced
-    /// forward / bidirectional / split strategies and require bit-identical
-    /// responses. Independent of [`ServerConfig::optimize`]. Default `None`.
+    /// Force every executing query to be *served* by this strategy instead
+    /// of whatever the optimizer chose (or the forward plan, when the
+    /// optimizer is off). A differential-testing knob: the forced-plan legs
+    /// of `tests/plan_invariance.rs` and `tests/plan_footprint_soundness.rs`
+    /// replay request logs under forward / bidirectional / split strategies.
+    /// Independent of [`ServerConfig::optimize`]. Default `None`.
     pub plan_override: Option<rpq::PlanStrategy>,
 }
 
@@ -86,9 +92,10 @@ pub struct ServeTotals {
     /// Query requests served from the miss-collapse window (identical query
     /// already executed at the same logical timestamp; SERVING.md §6).
     pub collapsed: u64,
-    /// Query executions the plan optimizer ran for (0 unless
-    /// [`ServerConfig::optimize`] is set; hits and collapses are not
-    /// planned — there is nothing to execute).
+    /// Query requests the plan optimizer planned: one per request that
+    /// executes on the engine — a row-mode request plans once for all its
+    /// missing rows (0 unless [`ServerConfig::optimize`] is set; hits and
+    /// collapses are not planned — there is nothing to execute).
     pub planned: u64,
     /// Of [`ServeTotals::planned`], how many chose a non-forward strategy.
     pub plan_nonforward: u64,
@@ -98,20 +105,14 @@ pub struct ServeTotals {
     /// Summed simulated cost of the chosen plans; `<= plan_forward_cost`
     /// always, because forward is always a candidate and wins ties.
     pub plan_chosen_cost: u64,
-    /// Non-forward plans that actually *executed* as instrumented shadow
-    /// runs alongside the canonical forward execution (the served bytes are
-    /// always the forward answer; the shadow exists to measure the chosen
-    /// plan's real simulated cost and to differentially check its answers).
-    pub shadow_runs: u64,
-    /// Shadow runs whose answers differed from the canonical forward
-    /// answers. The planned-execution contract says this stays 0 forever;
-    /// it is counted rather than asserted so a violation in production
-    /// serving degrades to a visible diagnostic, not a crash.
+    /// Always 0: every query is served by exactly one execution of its
+    /// chosen plan, so there is no second answer to disagree with. Kept
+    /// only because the serving benchmark (`perfbench/`) adds it to its
+    /// failure count.
     pub shadow_mismatches: u64,
-    /// Summed simulated latency of the canonical forward executions that
-    /// had a shadow run — the measured baseline of the executed comparison.
-    pub shadow_forward_time: SimTime,
-    /// Summed simulated latency of the shadow (chosen-plan) executions.
+    /// Summed simulated latency of the served executions that ran a
+    /// non-forward strategy (through [`GraphEngine::rpq_batch_planned`]);
+    /// already included in [`ServeTotals::engine_time`].
     pub shadow_chosen_time: SimTime,
 }
 
@@ -174,7 +175,7 @@ pub struct QueryServer {
     /// Whether query executions run the cost-based plan optimizer
     /// ([`ServerConfig::optimize`]).
     optimize: bool,
-    /// Forced shadow strategy ([`ServerConfig::plan_override`]).
+    /// Forced served strategy ([`ServerConfig::plan_override`]).
     plan_override: Option<rpq::PlanStrategy>,
     /// The optimizer's choice for the most recent planned execution.
     last_plan: Option<rpq::PlanChoice>,
@@ -267,16 +268,14 @@ impl QueryServer {
             _ => self.window = Some(CollapseWindow { at, answers: HashMap::new() }),
         }
 
-        if self.cache.is_none() {
-            self.plan_query(&key);
-            let (results, stats) = self.engine.rpq_batch(key.expr(), key.sources());
-            self.run_shadow(&key, &results, &stats);
-            self.totals.engine_time += stats.latency();
+        let Some(mode) = self.cache.as_ref().map(|c| c.config().mode) else {
+            let strategy = self.plan_query(key.expr(), key.sources().len());
+            let (results, stats, _) = self.execute_plan(&key, strategy, None);
             self.totals.matched_pairs += stats.matched_pairs as u64;
             self.record_in_window(&key, &results, stats);
             return ResponseBody::Query { results, stats, cache: CacheOutcome::Bypass };
-        }
-        if self.cache.as_ref().map(|c| c.config().mode) == Some(ConsistencyMode::RowExact) {
+        };
+        if mode == ConsistencyMode::RowExact {
             return self.serve_query_by_rows(key);
         }
 
@@ -290,10 +289,8 @@ impl QueryServer {
             return ResponseBody::Query { results, stats, cache: CacheOutcome::Hit };
         }
 
-        self.plan_query(&key);
-        let (results, stats, deps) = self.engine.rpq_batch_tracked(key.expr(), key.sources());
-        self.run_shadow(&key, &results, &stats);
-        self.totals.engine_time += stats.latency();
+        let strategy = self.plan_query(key.expr(), key.sources().len());
+        let (results, stats, deps) = self.execute_plan(&key, strategy, Some(mode));
         self.totals.matched_pairs += stats.matched_pairs as u64;
         self.record_in_window(&key, &results, stats);
         let alphabet = key.expr().label_alphabet();
@@ -319,7 +316,9 @@ impl QueryServer {
         let alphabet = key.expr().label_alphabet();
         let mut results: Vec<Vec<NodeId>> = Vec::with_capacity(key.sources().len());
         let mut folded = QueryStats::default();
-        let mut executed = false;
+        // Planned at the first missing row, once per request, at the
+        // granularity rows execute: one source per engine call.
+        let mut strategy: Option<rpq::PlanStrategy> = None;
         for &source in key.sources() {
             let row_key = CacheKey::new(key.expr().clone(), vec![source]);
             let (mut rows, stats) = match cache.lookup(&row_key) {
@@ -330,16 +329,9 @@ impl QueryServer {
                     (rows, stats)
                 }
                 None => {
-                    if !executed {
-                        // Plan once per executing query, against the full
-                        // batch — the same granularity as the other modes.
-                        self.plan_query(&key);
-                    }
-                    executed = true;
+                    let strategy = *strategy.get_or_insert_with(|| self.plan_query(key.expr(), 1));
                     let (rows, stats, deps) =
-                        self.engine.rpq_batch_tracked(row_key.expr(), row_key.sources());
-                    self.run_shadow(&row_key, &rows, &stats);
-                    self.totals.engine_time += stats.latency();
+                        self.execute_plan(&row_key, strategy, Some(ConsistencyMode::RowExact));
                     cache.insert(row_key, rows.clone(), stats, deps, alphabet.clone());
                     (rows, stats)
                 }
@@ -350,7 +342,7 @@ impl QueryServer {
             folded.merge(&stats);
         }
         self.cache = Some(cache);
-        let outcome = if executed {
+        let outcome = if strategy.is_some() {
             self.record_in_window(&key, &results, folded);
             CacheOutcome::Miss
         } else {
@@ -359,77 +351,87 @@ impl QueryServer {
         ResponseBody::Query { results, stats: folded, cache: outcome }
     }
 
-    /// Runs the cost-based plan optimizer for a query about to execute, when
-    /// [`ServerConfig::optimize`] is set.
+    /// Picks the strategy that serves a query about to execute over a batch
+    /// of `batch` sources: [`ServerConfig::plan_override`] when set, else
+    /// the cost-based optimizer's choice when [`ServerConfig::optimize`] is
+    /// on, else the forward plan.
     ///
-    /// The choice feeds the [`ServeTotals`] planning counters and
-    /// [`QueryServer::last_plan`] only — execution below stays the canonical
-    /// forward NFA product, so everything the client can observe in a
-    /// response is bit-identical with the optimizer on or off. The statistics
-    /// come from [`GraphEngine::label_stats`], maintained incrementally by
-    /// the engine's stores on every labelled update.
-    fn plan_query(&mut self, key: &CacheKey) {
-        if !self.optimize {
-            return;
-        }
-        let stats = self.engine.label_stats();
-        let choice = rpq::optimizer::choose_plan(key.expr(), &stats, key.sources().len());
-        // The chosen strategy is part of the normalized form: its respelling
-        // of the query collapses back to the exact cache key in use, so a
-        // query and its plan-rewritten form always share one cache row.
-        debug_assert_eq!(
-            rpq::optimizer::rewritten_for(key.expr(), choice.strategy).normalize(),
-            *key.expr(),
-            "plan respelling must normalize back to the cache key"
-        );
-        self.totals.planned += 1;
-        self.totals.plan_forward_cost =
-            self.totals.plan_forward_cost.saturating_add(choice.forward_cost);
-        self.totals.plan_chosen_cost =
-            self.totals.plan_chosen_cost.saturating_add(choice.chosen_cost);
-        if choice.strategy != rpq::PlanStrategy::Forward {
-            self.totals.plan_nonforward += 1;
-        }
-        self.last_plan = Some(choice);
+    /// With the optimizer on, the choice also feeds the [`ServeTotals`]
+    /// planning counters and [`QueryServer::last_plan`]. The statistics come
+    /// from [`GraphEngine::label_stats`], maintained incrementally by the
+    /// engine's stores on every labelled update, so the choice is a
+    /// deterministic function of the request log.
+    fn plan_query(&mut self, expr: &rpq::RpqExpr, batch: usize) -> rpq::PlanStrategy {
+        let chosen = self.optimize.then(|| {
+            let stats = self.engine.label_stats();
+            let choice = rpq::optimizer::choose_plan(expr, &stats, batch);
+            // The chosen strategy is part of the normalized form: its
+            // respelling of the query collapses back to the exact cache key
+            // in use, so a query and its plan-rewritten form always share
+            // one cache row.
+            debug_assert_eq!(
+                rpq::optimizer::rewritten_for(expr, choice.strategy).normalize(),
+                *expr,
+                "plan respelling must normalize back to the cache key"
+            );
+            self.totals.planned += 1;
+            self.totals.plan_forward_cost =
+                self.totals.plan_forward_cost.saturating_add(choice.forward_cost);
+            self.totals.plan_chosen_cost =
+                self.totals.plan_chosen_cost.saturating_add(choice.chosen_cost);
+            if choice.strategy != rpq::PlanStrategy::Forward {
+                self.totals.plan_nonforward += 1;
+            }
+            self.last_plan = Some(choice);
+            choice.strategy
+        });
+        self.plan_override.or(chosen).unwrap_or(rpq::PlanStrategy::Forward)
     }
 
-    /// The strategy the current execution's shadow run should use, if any:
-    /// the test override when set, otherwise this query's optimizer choice
-    /// (`Forward` either way means no shadow — there is nothing to compare).
-    fn shadow_strategy(&self) -> Option<rpq::PlanStrategy> {
-        let strategy = match self.plan_override {
-            Some(s) => s,
-            None if self.optimize => self.last_plan?.strategy,
-            None => return None,
-        };
-        (strategy != rpq::PlanStrategy::Forward).then_some(strategy)
-    }
-
-    /// Executes the chosen non-forward plan as an instrumented shadow of a
-    /// canonical forward execution that just produced `forward_results`.
+    /// Executes one batch on the engine under `strategy` — the single engine
+    /// call behind every bypass, miss and row execution — and charges it to
+    /// [`ServeTotals::engine_time`].
     ///
-    /// The shadow's answers are byte-compared against the forward answers
-    /// (drift increments [`ServeTotals::shadow_mismatches`], which must stay
-    /// 0); its simulated latency lands in the [`ServeTotals`] shadow
-    /// counters, which is how a *priced* optimizer win becomes a *measured*
-    /// execution win in the serving telemetry. Nothing the client observes —
-    /// results, stats, cache behaviour, dependency footprints — comes from
-    /// the shadow; the engine's `rpq_batch_planned` contract additionally
-    /// guarantees the shadow cannot perturb any later canonical charge.
-    fn run_shadow(
+    /// `mode` is the cache the answer is bound for (`None`: bypass, so no
+    /// footprint is needed). The returned footprint is sound for that mode:
+    ///
+    /// * forward executions keep the precise tracked deps of
+    ///   [`GraphEngine::rpq_batch_tracked`];
+    /// * a non-forward execution gets [`QueryDeps::all`], the trait's own
+    ///   sound default — a pruned traversal's visited set does not cover
+    ///   future inserts, and the backward sweep reads the whole label;
+    /// * under [`ConsistencyMode::CostExact`] with the optimizer on, every
+    ///   execution gets [`QueryDeps::all`]: the plan — and so the stats a
+    ///   re-execution would report — depends on label statistics that any
+    ///   applied update can change (SERVING.md §9 rule 1).
+    fn execute_plan(
         &mut self,
         key: &CacheKey,
-        forward_results: &[Vec<NodeId>],
-        forward_stats: &QueryStats,
-    ) {
-        let Some(strategy) = self.shadow_strategy() else { return };
-        let (results, stats) = self.engine.rpq_batch_planned(key.expr(), key.sources(), strategy);
-        self.totals.shadow_runs += 1;
-        if results != forward_results {
-            self.totals.shadow_mismatches += 1;
-        }
-        self.totals.shadow_forward_time += forward_stats.latency();
-        self.totals.shadow_chosen_time += stats.latency();
+        strategy: rpq::PlanStrategy,
+        mode: Option<ConsistencyMode>,
+    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
+        let (results, stats, deps) = match (strategy, mode) {
+            (rpq::PlanStrategy::Forward, None) => {
+                let (results, stats) = self.engine.rpq_batch(key.expr(), key.sources());
+                (results, stats, QueryDeps::all())
+            }
+            (rpq::PlanStrategy::Forward, Some(_)) => {
+                self.engine.rpq_batch_tracked(key.expr(), key.sources())
+            }
+            (planned, _) => {
+                let (results, stats) =
+                    self.engine.rpq_batch_planned(key.expr(), key.sources(), planned);
+                self.totals.shadow_chosen_time += stats.latency();
+                (results, stats, QueryDeps::all())
+            }
+        };
+        self.totals.engine_time += stats.latency();
+        let deps = if self.optimize && mode == Some(ConsistencyMode::CostExact) {
+            QueryDeps::all()
+        } else {
+            deps
+        };
+        (results, stats, deps)
     }
 
     /// Records an engine-produced answer in the collapse window (only
@@ -492,7 +494,8 @@ impl QueryServer {
 
     /// The optimizer's [`rpq::PlanChoice`] for the most recent planned query
     /// execution (`None` before any execution or when
-    /// [`ServerConfig::optimize`] is off). Diagnostic only — never part of a
+    /// [`ServerConfig::optimize`] is off). Diagnostic only: the served stats
+    /// are the executed plan's, but the choice itself is never part of a
     /// response.
     pub fn last_plan(&self) -> Option<rpq::PlanChoice> {
         self.last_plan
@@ -526,8 +529,11 @@ impl QueryServer {
 mod tests {
     use super::*;
     use crate::request::{CacheOutcome, RequestKind};
-    use graph_store::{Label, NodeId};
-    use moctopus::{MoctopusConfig, MoctopusSystem};
+    use crate::shard::{ShardPlan, ShardedEngine};
+    use graph_store::{Label, LabelStatsSnapshot, NodeId};
+    use moctopus::{MoctopusConfig, MoctopusSystem, UpdateFootprint, UpdateStats};
+    use rpq::RpqExpr;
+    use std::sync::{Arc, Mutex};
 
     fn ring_insert(n: u64) -> RequestKind {
         RequestKind::Insert {
@@ -734,5 +740,226 @@ mod tests {
         assert_eq!(s.cache_stats().unwrap().hits, 1, "source 4's row survived and hit");
         assert!(requery.results().unwrap()[0].is_empty());
         assert_eq!(requery.results().unwrap()[1], vec![NodeId(6)]);
+    }
+
+    /// Every engine call a [`Counting`] wrapper saw: the number of query
+    /// calls (any entry point) and the simulated latency of every call,
+    /// queries and updates, summed in call order — the order in which
+    /// [`ServeTotals::engine_time`] accumulates, so the two compare exactly.
+    #[derive(Debug, Default)]
+    struct Calls {
+        queries: u64,
+        latency: SimTime,
+    }
+
+    /// A [`GraphEngine`] that forwards every call to `inner` and records it
+    /// in a shared [`Calls`] the test reads after the server owns the engine.
+    struct Counting {
+        inner: Box<dyn GraphEngine + Send>,
+        calls: Arc<Mutex<Calls>>,
+    }
+
+    impl Counting {
+        fn query<R>(&mut self, out: R, stats: impl Fn(&R) -> QueryStats) -> R {
+            let mut calls = self.calls.lock().unwrap();
+            calls.queries += 1;
+            calls.latency += stats(&out).latency();
+            out
+        }
+
+        fn update<R>(&mut self, out: R, stats: impl Fn(&R) -> UpdateStats) -> R {
+            self.calls.lock().unwrap().latency += stats(&out).latency();
+            out
+        }
+    }
+
+    impl GraphEngine for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+            let out = self.inner.insert_labeled_edges(edges);
+            self.update(out, |s| *s)
+        }
+
+        fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+            let out = self.inner.delete_labeled_edges(edges);
+            self.update(out, |s| *s)
+        }
+
+        fn insert_labeled_edges_tracked(
+            &mut self,
+            edges: &[(NodeId, NodeId, Label)],
+        ) -> (UpdateStats, UpdateFootprint) {
+            let out = self.inner.insert_labeled_edges_tracked(edges);
+            self.update(out, |(s, _)| *s)
+        }
+
+        fn delete_labeled_edges_tracked(
+            &mut self,
+            edges: &[(NodeId, NodeId, Label)],
+        ) -> (UpdateStats, UpdateFootprint) {
+            let out = self.inner.delete_labeled_edges_tracked(edges);
+            self.update(out, |(s, _)| *s)
+        }
+
+        fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
+            let out = self.inner.k_hop_batch(sources, k);
+            self.query(out, |(_, s)| *s)
+        }
+
+        fn rpq_batch(
+            &mut self,
+            expr: &RpqExpr,
+            sources: &[NodeId],
+        ) -> (Vec<Vec<NodeId>>, QueryStats) {
+            let out = self.inner.rpq_batch(expr, sources);
+            self.query(out, |(_, s)| *s)
+        }
+
+        fn rpq_batch_planned(
+            &mut self,
+            expr: &RpqExpr,
+            sources: &[NodeId],
+            strategy: rpq::PlanStrategy,
+        ) -> (Vec<Vec<NodeId>>, QueryStats) {
+            let out = self.inner.rpq_batch_planned(expr, sources, strategy);
+            self.query(out, |(_, s)| *s)
+        }
+
+        fn rpq_batch_tracked(
+            &mut self,
+            expr: &RpqExpr,
+            sources: &[NodeId],
+        ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
+            let out = self.inner.rpq_batch_tracked(expr, sources);
+            self.query(out, |(_, s, _)| *s)
+        }
+
+        fn edge_count(&self) -> usize {
+            self.inner.edge_count()
+        }
+
+        fn set_threads(&mut self, threads: usize) {
+            self.inner.set_threads(threads)
+        }
+
+        fn threads(&self) -> usize {
+            self.inner.threads()
+        }
+
+        fn label_stats(&self) -> LabelStatsSnapshot {
+            self.inner.label_stats()
+        }
+    }
+
+    /// A rare-closure graph: long label-1 chains with chords, a label-4
+    /// sprinkle, and only two label-8 edges — the shape on which the
+    /// optimizer leaves the forward plan for `1+/8`.
+    fn rare_closure_edges() -> Vec<(NodeId, NodeId, Label)> {
+        let n = 96u64;
+        let mut edges: Vec<(NodeId, NodeId, Label)> = (0..n)
+            .flat_map(|i| {
+                [
+                    (NodeId(i), NodeId((i + 1) % n), Label(1)),
+                    (NodeId(i), NodeId((i * 7 + 3) % n), Label(1)),
+                ]
+            })
+            .collect();
+        edges.extend((0..n).step_by(3).map(|i| (NodeId(i), NodeId((i + 11) % n), Label(4))));
+        edges.extend([(NodeId(90), NodeId(5), Label(8)), (NodeId(40), NodeId(77), Label(8))]);
+        edges
+    }
+
+    /// With the optimizer on, every executed query — bypass, whole-batch
+    /// miss, or row miss — makes exactly one engine call, whatever plan
+    /// serves it: the call count equals the executions, `engine_time` is
+    /// exactly the executed calls' latencies, and the shard plane's
+    /// `queries` counter (whose doc promises "misses and bypasses") agrees.
+    #[test]
+    fn every_executed_query_makes_exactly_one_engine_call() {
+        let edges = rare_closure_edges();
+        let modes = [
+            None,
+            Some(ConsistencyMode::CostExact),
+            Some(ConsistencyMode::ResultExact),
+            Some(ConsistencyMode::RowExact),
+        ];
+        for mode in modes {
+            let cfg = MoctopusConfig::small_test().with_threads(1);
+            let replicas = (0..2)
+                .map(|_| {
+                    let mut engine = MoctopusSystem::new(cfg);
+                    engine.insert_labeled_edges(&edges);
+                    Box::new(engine) as Box<dyn GraphEngine + Send>
+                })
+                .collect();
+            let plane =
+                ShardedEngine::new(replicas, ShardPlan::hashed(ShardPlan::DEFAULT_GROUPS), 1);
+            let clock = plane.clock();
+            let calls = Arc::new(Mutex::new(Calls::default()));
+            let engine = Counting { inner: Box::new(plane), calls: Arc::clone(&calls) };
+            let mut s = QueryServer::new(
+                Box::new(engine),
+                ServerConfig {
+                    cache: mode.map(|mode| CacheConfig { capacity: 64, mode }),
+                    pricing: cfg,
+                    optimize: true,
+                    plan_override: None,
+                },
+            );
+            // Repeats (hits), a same-timestamp duplicate (collapse),
+            // overlapping batches (row sharing) and an update mid-log.
+            let batch: Vec<u64> = (0..24).map(|i| i * 4).collect();
+            let log = [
+                (1, query("(1)+/8", &batch)),
+                (2, query("(1)*/8", &batch)),
+                (2, query("(1)*/8", &batch)),
+                (3, query("(1)+/8", &batch[4..])),
+                (4, query("1/(8|4)", &batch)),
+                (
+                    5,
+                    RequestKind::Insert {
+                        edges: vec![
+                            (NodeId(12), NodeId(60), Label(8)),
+                            (NodeId(7), NodeId(8), Label(1)),
+                        ],
+                    },
+                ),
+                (6, query("(1)+/8", &batch)),
+                (7, query("(1)+/8", &batch)),
+                (8, query("1/8", &batch[..6])),
+            ];
+            let (mut executed, mut bypasses) = (SimTime::ZERO, 0u64);
+            for (at, kind) in log {
+                match s.execute_next(Request { at, kind }).body {
+                    ResponseBody::Query { stats, cache, .. } => match cache {
+                        CacheOutcome::Bypass => {
+                            bypasses += 1;
+                            executed += stats.latency();
+                        }
+                        CacheOutcome::Miss => executed += stats.latency(),
+                        CacheOutcome::Hit | CacheOutcome::Collapsed => {}
+                    },
+                    ResponseBody::Update { stats, .. } => executed += stats.latency(),
+                }
+            }
+            let totals = s.totals();
+            let executions = bypasses + s.cache_stats().map_or(0, |c| c.misses);
+            let calls = calls.lock().unwrap();
+            assert!(totals.plan_nonforward > 0, "{mode:?}: the log never served a planned query");
+            assert_eq!(calls.queries, executions, "{mode:?}: one engine call per execution");
+            assert_eq!(
+                totals.engine_time, calls.latency,
+                "{mode:?}: engine_time is the calls' time"
+            );
+            if mode != Some(ConsistencyMode::RowExact) {
+                // A row-mode miss response folds in its hit rows' stats, so
+                // only whole-batch responses sum to the engine's time.
+                assert_eq!(totals.engine_time, executed, "{mode:?}: executed responses' latency");
+            }
+            assert_eq!(clock.lock().unwrap().queries, executions, "{mode:?}: shard queries");
+        }
     }
 }
