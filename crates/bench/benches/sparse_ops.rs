@@ -6,15 +6,14 @@
 //! matrix powers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graph_store::CsrGraph;
+use graph_store::NodeId;
 use sparse::{ops, MatrixBuilder, SparseBoolMatrix, SparseBoolVector};
 
 fn adjacency_matrix(nodes: usize, seed: u64) -> SparseBoolMatrix {
     let graph = graph_gen::uniform::generate(nodes, 6.0, seed);
-    let csr = CsrGraph::from_adjacency(&graph);
     let mut builder = MatrixBuilder::new(nodes, nodes);
-    for r in 0..csr.node_count() {
-        for &c in csr.neighbors(graph_store::NodeId(r as u64)) {
+    for r in 0..graph.id_bound() as usize {
+        for &(c, _) in graph.neighbors(NodeId(r as u64)) {
             builder.set(r, c.index());
         }
     }

@@ -379,13 +379,6 @@ pub fn fmt_ms(t: pim_sim::SimTime) -> String {
     format!("{:.3}", t.as_millis())
 }
 
-/// Prints a right-aligned table row from already formatted cells.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let row: Vec<String> =
-        cells.iter().zip(widths).map(|(c, w)| format!("{c:>width$}", width = w)).collect();
-    println!("{}", row.join("  "));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ use graph_store::{
     LocalGraphStorage, LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
 };
 use moctopus_runtime::{chunk_ranges, WorkerPool};
-use pim_sim::{Phase, PimSystem, Timeline};
+use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use rpq::{optimizer, LabelSpec, Nfa, PlanStrategy, RpqExpr};
 use sparse::EpochMarks;
 use std::collections::HashSet;
@@ -74,6 +74,22 @@ const LABEL_BYTES: u64 = 2;
 /// Bytes of one NFA state id attached to a routed product-frontier entry
 /// during general RPQ evaluation (`u16` state index).
 const STATE_BYTES: u64 = 2;
+
+/// What one frontier loop charges per row slot it scans and per entry it
+/// routes. Both loops share every charge formula and differ only in these
+/// widths.
+#[derive(Debug, Clone, Copy)]
+struct Widths {
+    scan: u64,
+    entry: u64,
+}
+
+/// The k-hop loop scans id arrays and routes bare node ids.
+const KHOP_WIDTHS: Widths = Widths { scan: ID_BYTES, entry: ENTRY_BYTES };
+/// The labelled product loop also scans the label array and routes the
+/// automaton state along with each node id.
+const PRODUCT_WIDTHS: Widths =
+    Widths { scan: ID_BYTES + LABEL_BYTES, entry: ENTRY_BYTES + STATE_BYTES };
 
 /// Wire bytes of one edge label: the default label is elided, every other
 /// label costs [`LABEL_BYTES`].
@@ -201,14 +217,39 @@ struct NfaHopCtx {
     nexts: Vec<Vec<(NodeId, u32)>>,
 }
 
-/// Worker count actually used for one hop: the batch-level layout width
-/// clamped by the hop's total frontier size. A long-tail hop with three
-/// entries gets at most three workers, and an empty one still gets one so
-/// the merge has a delta to reduce; the determinism contract makes any
-/// clamp value produce identical output, so this is purely a wall-clock
-/// decision (spawn/join is not worth microseconds of expansion work).
-fn active_workers(module_ranges: &[Range<usize>], frontier_entries: usize) -> usize {
-    module_ranges.len().min(frontier_entries).max(1)
+/// The inputs a planned (non-forward) execution adds to the product loop.
+/// The forward plan passes none of them.
+struct PlannedLeg<'a> {
+    /// The backward useful-set sweep and seed gathering, charged once as one
+    /// bulk phase before dispatch.
+    preamble: StatsDelta,
+    /// Only useful pairs enter a frontier. The filter runs on merged state,
+    /// after every candidate has entered `visited`: accepting pairs are
+    /// usually not useful, and answers are read from `visited`.
+    useful: Option<&'a HashSet<(NodeId, u32)>>,
+    /// Answers are restricted to these nodes when read out of `visited`.
+    accept_nodes: Option<&'a HashSet<NodeId>>,
+}
+
+/// Takes `workers` per-worker contexts out of the engine's `store`, growing
+/// it on demand when the thread count rose since the last batch.
+fn take_ctxs<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
+    store.resize_with(workers.max(store.len()), T::default);
+    store.drain(..workers).collect()
+}
+
+/// Returns contexts to the engine's `store` so their capacity survives into
+/// the next batch.
+fn put_ctxs<T>(store: &mut Vec<T>, mut ctxs: Vec<T>) {
+    ctxs.append(store);
+    *store = ctxs;
+}
+
+/// What one worker owns during a hop's execute stage: a contiguous slice of
+/// PIM modules and, for worker 0 only, the host lane.
+struct Lane {
+    modules: Range<usize>,
+    host: bool,
 }
 
 /// The k-hop merge stage: unions each query's per-worker candidate lists
@@ -257,12 +298,11 @@ pub struct DistributedPimEngine {
     edge_count: usize,
     scratch: FrontierScratch,
     pool: WorkerPool,
-    /// One private [`FrontierScratch`] per worker, persisted across batches
-    /// so hot-loop buffers and marks are never re-allocated per query.
-    worker_scratch: Vec<FrontierScratch>,
-    /// One private [`NfaHopCtx`] per worker, persisted across `rpq_batch`
-    /// calls for the same reason.
-    nfa_scratch: Vec<NfaHopCtx>,
+    /// One private context per worker for each loop, persisted across
+    /// batches so hot-loop buffers, marks and sets are never re-allocated
+    /// per query (see `take_ctxs`).
+    hop_ctxs: Vec<HopCtx>,
+    nfa_ctxs: Vec<NfaHopCtx>,
 }
 
 impl DistributedPimEngine {
@@ -282,8 +322,8 @@ impl DistributedPimEngine {
             host_store: HeterogeneousStorage::new(),
             edge_count: 0,
             scratch: FrontierScratch::default(),
-            worker_scratch: Vec::new(),
-            nfa_scratch: Vec::new(),
+            hop_ctxs: Vec::new(),
+            nfa_ctxs: Vec::new(),
         }
     }
 
@@ -305,47 +345,44 @@ impl DistributedPimEngine {
         self.pool.threads()
     }
 
-    /// The hop-loop worker layout for the current thread count: each worker
-    /// owns one contiguous range of PIM modules (worker 0 additionally owns
-    /// the host lane). At most one worker per module, so extra threads idle
-    /// rather than splitting a module's (order-sensitive) float accumulator.
-    fn worker_layout(&self) -> Vec<Range<usize>> {
+    /// The hop loops' batch-level worker count for the current thread count.
+    /// At most one worker per module, so extra threads idle rather than
+    /// splitting a module's (order-sensitive) float accumulator.
+    fn layout_width(&self) -> usize {
+        self.pool.workers_for(self.config.pim.num_modules)
+    }
+
+    /// One hop's execute and merge stages, shared by both loops.
+    ///
+    /// Execute fans `work` out over the worker pool: each active worker owns
+    /// one contiguous [`Lane`] of modules (worker 0 also the host lane) and
+    /// fills its own context and delta. The worker count is the batch layout
+    /// clamped by the hop's frontier size: a long-tail hop with three entries
+    /// gets at most three workers, and an empty one still gets one so the
+    /// merge has a delta to reduce. The determinism contract makes any clamp
+    /// produce identical output, so this is purely a wall-clock decision.
+    /// Merge reduces the deltas in worker-id order and charges the result.
+    /// Returns the active worker count and the merged delta.
+    fn run_hop<C: Send>(
+        &mut self,
+        ctxs: &mut [C],
+        frontier_entries: usize,
+        timeline: &mut Timeline,
+        work: impl Fn(&Self, &Lane, &mut C) -> StatsDelta + Sync,
+    ) -> (usize, StatsDelta) {
         let module_count = self.config.pim.num_modules;
-        chunk_ranges(module_count, self.pool.workers_for(module_count))
-    }
-
-    /// Takes the per-worker hop contexts out of the engine (grown on demand
-    /// when the thread count rose since the last batch).
-    fn take_hop_ctxs(&mut self, workers: usize) -> Vec<HopCtx> {
-        self.worker_scratch.resize_with(workers.max(self.worker_scratch.len()), Default::default);
-        self.worker_scratch
-            .drain(..workers)
-            .map(|scratch| HopCtx { scratch, nexts: Vec::new() })
-            .collect()
-    }
-
-    /// Returns hop contexts to the engine so their scratch capacity survives
-    /// into the next batch.
-    fn put_hop_ctxs(&mut self, ctxs: Vec<HopCtx>) {
-        let mut scratches: Vec<FrontierScratch> = ctxs.into_iter().map(|c| c.scratch).collect();
-        scratches.append(&mut self.worker_scratch);
-        self.worker_scratch = scratches;
-    }
-
-    /// Takes the per-worker NFA-product contexts out of the engine, sized to
-    /// `workers` (grown on demand when the thread count rose since the last
-    /// batch), so their hash-set and buffer capacities survive across
-    /// `rpq_batch` calls like the k-hop worker scratch does.
-    fn take_nfa_ctxs(&mut self, workers: usize) -> Vec<NfaHopCtx> {
-        self.nfa_scratch.resize_with(workers.max(self.nfa_scratch.len()), Default::default);
-        self.nfa_scratch.drain(..workers).collect()
-    }
-
-    /// Returns NFA-product contexts to the engine for the next batch.
-    fn put_nfa_ctxs(&mut self, ctxs: Vec<NfaHopCtx>) {
-        let mut scratches = ctxs;
-        scratches.append(&mut self.nfa_scratch);
-        self.nfa_scratch = scratches;
+        let active = ctxs.len().min(frontier_entries).max(1);
+        let ranges = chunk_ranges(module_count, active);
+        let this: &Self = self;
+        let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
+            work(this, &Lane { modules: ranges[worker].clone(), host: worker == 0 }, ctx)
+        });
+        let mut delta = StatsDelta::new(module_count);
+        for worker_delta in &deltas {
+            delta.merge(worker_delta);
+        }
+        self.charge_hop(&delta, timeline);
+        (active, delta)
     }
 
     /// The system configuration.
@@ -725,6 +762,91 @@ impl DistributedPimEngine {
     // Queries
     // ------------------------------------------------------------------
 
+    /// Source dispatch: every source that lives on a PIM module is shipped to
+    /// it (the Q matrix rows of the execution plan), `entry` bytes each.
+    fn charge_dispatch(&self, sources: &[NodeId], entry: u64, timeline: &mut Timeline) {
+        let bytes =
+            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
+                as u64
+                * entry;
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(bytes));
+        timeline.transfers.record_cpu_to_pim(bytes, 1);
+    }
+
+    /// One row scan of `bytes` by the computing node `at`: a hash lookup on a
+    /// PIM module, or a random access plus a sequential read on the host
+    /// (`host_resident_bytes` sizes the host's working set).
+    fn charge_scan(
+        &self,
+        at: PartitionId,
+        bytes: u64,
+        host_resident_bytes: u64,
+        delta: &mut StatsDelta,
+    ) {
+        match at {
+            PartitionId::Host => {
+                delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
+                    + self.pim.host_sequential_read_cost(bytes);
+            }
+            PartitionId::Pim(m) => {
+                delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(bytes);
+            }
+        }
+    }
+
+    /// One produced entry for `to`, routed out of the computing node `from`.
+    /// It is free when it stays on its module, or stays on the host. From a
+    /// module it is either forwarded to another module (IPC) or gathered to
+    /// the host (CPC); from the host it is shipped to the owning module (CPC).
+    fn charge_route(&self, from: PartitionId, to: NodeId, entry: u64, delta: &mut StatsDelta) {
+        match (from, self.owner(to)) {
+            (PartitionId::Pim(m), Some(PartitionId::Pim(m2))) if m == m2 => {}
+            (PartitionId::Pim(_), Some(PartitionId::Pim(_))) => {
+                delta.ipc_bytes += entry;
+                delta.ipc_messages += 1;
+            }
+            (PartitionId::Host, Some(PartitionId::Pim(_))) | (PartitionId::Pim(_), _) => {
+                delta.cpc_bytes += entry;
+            }
+            (PartitionId::Host, _) => {}
+        }
+    }
+
+    /// Charges one merged hop delta: the slowest module, the host compute,
+    /// the CPC gather, and inter-PIM forwarding. UPMEM has no hardware path
+    /// for the latter: besides the double bus crossing, the host CPU inspects
+    /// and re-routes every forwarded entry in software (~25 instructions
+    /// each).
+    fn charge_hop(&mut self, delta: &StatsDelta, timeline: &mut Timeline) {
+        let pim_time = self.pim.parallel_step(&delta.per_module);
+        timeline.charge(Phase::PimCompute, pim_time);
+        timeline.charge(Phase::HostCompute, delta.host_time);
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
+        timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
+        timeline.charge(
+            Phase::Ipc,
+            self.pim.ipc_transfer_cost(delta.ipc_bytes)
+                + self.pim.host_instructions_cost(delta.ipc_messages * 25),
+        );
+        timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
+    }
+
+    /// Host time to reduce `matched_pairs` answers read from `bytes` of
+    /// partial results.
+    fn reduce_cost(&self, bytes: u64, matched_pairs: usize) -> SimTime {
+        self.pim.host_sequential_read_cost(bytes)
+            + self.pim.host_instructions_cost(matched_pairs as u64 * 8)
+    }
+
+    /// Reduction (`mwait`): gathers every query's answers to the host and
+    /// merges the per-module partial results.
+    fn charge_gather_reduce(&self, matched_pairs: usize, timeline: &mut Timeline) {
+        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
+        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
+        timeline.charge(Phase::Reduce, self.reduce_cost(gather_bytes, matched_pairs));
+    }
+
     /// Answers a batch k-hop path query with full cost accounting.
     ///
     /// The hop loop is a batch-frontier engine: owner lookups are single
@@ -767,25 +889,13 @@ impl DistributedPimEngine {
         k: usize,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        let module_count = self.config.pim.num_modules;
-        // Maintained incrementally by the heterogeneous storage; previously a
-        // full iteration over every host row per query batch.
-        let host_resident_bytes: u64 = self.host_store.live_bytes();
         let mut timeline = Timeline::new();
         let mut expansions = 0usize;
 
         // ---- plan: dispatch accounting and worker layout -----------------
-        // Every source that lives on a PIM module must be shipped to it (the
-        // Q matrix rows of the execution plan).
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
-
-        let module_ranges = self.worker_layout();
-        let mut ctxs = self.take_hop_ctxs(module_ranges.len());
+        self.charge_dispatch(sources, KHOP_WIDTHS.entry, &mut timeline);
+        let width = self.layout_width();
+        let mut ctxs = take_ctxs(&mut self.hop_ctxs, width);
 
         if let Some(deps) = track.as_deref_mut() {
             for &s in sources {
@@ -810,47 +920,13 @@ impl DistributedPimEngine {
             let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
             expansions += frontier_entries;
 
-            // ---- execute: embarrassingly parallel over module slices. The
-            // worker count is additionally clamped by the hop's total
-            // frontier size: a long-tail hop with a handful of entries is
-            // not worth a spawn/join barrier (output is thread-count
-            // invariant, so re-chunking per hop is free).
-            let active = active_workers(&module_ranges, frontier_entries);
-            let hop_ranges = chunk_ranges(module_count, active);
-            for ctx in &mut ctxs[..active] {
-                ctx.prepare(frontiers.len());
-            }
-            let this: &DistributedPimEngine = self;
-            let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
-                this.khop_hop_worker(
-                    &hop_ranges[worker],
-                    worker == 0,
-                    &frontiers,
-                    host_resident_bytes,
-                    ctx,
-                )
-            });
+            // ---- execute over module slices, id-ordered delta reduction ---
+            let (active, delta) =
+                self.run_hop(&mut ctxs, frontier_entries, &mut timeline, |this, lane, ctx| {
+                    this.khop_hop_worker(lane, &frontiers, ctx)
+                });
 
-            // ---- merge: id-ordered delta reduction + frontier union ------
-            let mut delta = StatsDelta::new(module_count);
-            for worker_delta in &deltas {
-                delta.merge(worker_delta);
-            }
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            // Inter-PIM forwarding has no hardware path on UPMEM: besides the
-            // double bus crossing, the host CPU inspects and re-routes every
-            // forwarded entry in software (~25 instructions each).
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
-
+            // ---- merge: frontier union ------------------------------------
             next_frontiers.clear();
             for _ in 0..frontiers.len() {
                 let buf = scratch.take_buffer();
@@ -873,20 +949,10 @@ impl DistributedPimEngine {
             }
         }
         self.scratch = scratch;
-        self.put_hop_ctxs(ctxs);
+        put_ctxs(&mut self.hop_ctxs, ctxs);
 
-        // Reduction (`mwait`): gather every query's final frontier to the host
-        // and merge the per-module partial results.
         let matched_pairs: usize = frontiers.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
-
+        self.charge_gather_reduce(matched_pairs, &mut timeline);
         let stats =
             QueryStats { timeline, batch_size: sources.len(), hops: k, matched_pairs, expansions };
         (frontiers, stats)
@@ -904,13 +970,12 @@ impl DistributedPimEngine {
     /// loop.
     fn khop_hop_worker(
         &self,
-        my_modules: &Range<usize>,
-        host_lane: bool,
+        lane: &Lane,
         frontiers: &[Vec<NodeId>],
-        host_resident_bytes: u64,
         ctx: &mut HopCtx,
     ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        ctx.prepare(frontiers.len());
         for (q, frontier) in frontiers.iter().enumerate() {
             let next = &mut ctx.nexts[q];
             // One marker generation per (query, hop): a produced entry is
@@ -918,55 +983,48 @@ impl DistributedPimEngine {
             // duplicate-free (within this worker) by construction.
             ctx.scratch.marks.next_epoch();
             for &v in frontier {
-                match self.owner(v) {
-                    Some(PartitionId::Host) if host_lane => {
-                        let row_bytes = self.host_store.row_bytes(v);
-                        delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
-                            + self.pim.host_sequential_read_cost(row_bytes);
-                        for (u, _) in self.host_store.neighbors_iter(v) {
-                            // The host forwards the produced entry to the
-                            // module owning it (or keeps it if the next
-                            // row is also host-resident).
-                            if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
-                                delta.cpc_bytes += ENTRY_BYTES;
-                            }
-                            if ctx.scratch.marks.mark(u.index()) {
-                                next.push(u);
-                            }
-                        }
+                self.expand_row(lane, v, KHOP_WIDTHS.scan, &mut delta, |delta, at, u, _| {
+                    self.charge_route(at, u, KHOP_WIDTHS.entry, delta);
+                    if ctx.scratch.marks.mark(u.index()) {
+                        next.push(u);
                     }
-                    Some(PartitionId::Pim(m)) if my_modules.contains(&(m as usize)) => {
-                        let m = m as usize;
-                        let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                        let row_bytes = row.len() as u64 * ID_BYTES;
-                        delta.per_module[m] += self.pim.pim_hash_lookup_cost(row_bytes);
-                        for &(u, _) in row {
-                            match self.owner(u) {
-                                Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                Some(PartitionId::Pim(_)) => {
-                                    delta.ipc_bytes += ENTRY_BYTES;
-                                    delta.ipc_messages += 1;
-                                }
-                                _ => {
-                                    // Destination row lives on the host (or
-                                    // is unknown): the entry is gathered
-                                    // over the CPC link.
-                                    delta.cpc_bytes += ENTRY_BYTES;
-                                }
-                            }
-                            if ctx.scratch.marks.mark(u.index()) {
-                                next.push(u);
-                            }
-                        }
-                    }
-                    _ => {
-                        // Another worker's module, or a node that has never
-                        // appeared in the edge stream (no outgoing edges).
-                    }
-                }
+                });
             }
         }
         delta
+    }
+
+    /// Expands `v`'s row if `lane` owns it: charges the scan of every slot
+    /// (free host slots too) at `scan` bytes each, then visits the live
+    /// labelled out-edges in row order, with the computing node that expands
+    /// them. Rows on another worker's module are skipped, as are nodes that
+    /// never appeared in the edge stream (no outgoing edges).
+    fn expand_row(
+        &self,
+        lane: &Lane,
+        v: NodeId,
+        scan: u64,
+        delta: &mut StatsDelta,
+        mut visit: impl FnMut(&mut StatsDelta, PartitionId, NodeId, Label),
+    ) {
+        let host_resident_bytes = self.host_store.live_bytes();
+        match self.owner(v) {
+            Some(at @ PartitionId::Host) if lane.host => {
+                let bytes = self.host_store.slot_count(v) as u64 * scan;
+                self.charge_scan(at, bytes, host_resident_bytes, delta);
+                for (u, label) in self.host_store.neighbors_iter(v) {
+                    visit(delta, at, u, label);
+                }
+            }
+            Some(at @ PartitionId::Pim(m)) if lane.modules.contains(&(m as usize)) => {
+                let row = self.local_stores[m as usize].row(v).unwrap_or(&[]);
+                self.charge_scan(at, row.len() as u64 * scan, host_resident_bytes, delta);
+                for &(u, label) in row {
+                    visit(delta, at, u, label);
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Answers a batch of general regular path queries with full cost
@@ -975,7 +1033,24 @@ impl DistributedPimEngine {
     /// Plain k-hop expressions (`.{k}` and concatenations of `.`) take the
     /// [`DistributedPimEngine::k_hop_batch`] fast path, whose cost model is
     /// untouched — same-seed experiment outputs do not move. Everything else
-    /// is evaluated as an NFA product ([`DistributedPimEngine::nfa_product_batch`]).
+    /// is evaluated as an NFA product: the generalisation of the k-hop loop to
+    /// arbitrary label automata.
+    ///
+    /// Frontier entries become `(node, nfa_state)` pairs — the product of the
+    /// data graph and the query automaton — deduplicated per query with a
+    /// *global* visited set over `state × node` (required for termination on
+    /// cyclic graphs under `*`/`+`). The per-hop structure and every charge
+    /// formula are the k-hop loop's: each entry is expanded by the computing
+    /// node owning its row, every produced entry that leaves the module is
+    /// charged to the inter-PIM or CPC bus, each hop's PIM latency is the
+    /// slowest module, and the final result is gathered and reduced on the
+    /// host. Only the widths differ: a label-constrained row scan reads the
+    /// id and label arrays (`ID_BYTES + LABEL_BYTES` per slot) and a routed
+    /// entry carries its automaton state (`ENTRY_BYTES + STATE_BYTES`).
+    ///
+    /// A node is reported for a query as soon as *some* visited product state
+    /// is accepting; if the automaton accepts the empty path the source
+    /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
     pub fn rpq_batch(
         &mut self,
         expr: &RpqExpr,
@@ -985,7 +1060,7 @@ impl DistributedPimEngine {
             return self.k_hop_batch(sources, k);
         }
         let nfa = Nfa::from_expr(expr);
-        self.nfa_product_batch_impl(&nfa, sources, None)
+        self.nfa_product_batch_impl(&nfa, sources, None, None)
     }
 
     /// [`DistributedPimEngine::rpq_batch`] plus the execution's dependency
@@ -1002,7 +1077,7 @@ impl DistributedPimEngine {
         }
         let nfa = Nfa::from_expr(expr);
         let mut deps = QueryDeps::default();
-        let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, Some(&mut deps));
+        let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, Some(&mut deps), None);
         (results, stats, deps)
     }
 
@@ -1016,7 +1091,9 @@ impl DistributedPimEngine {
     /// [`PlanStrategy::Forward`] *is* the canonical path — same code, same
     /// charges — and k-hop shapes always take it (plan choice is about label
     /// asymmetry, which `.{k}` does not have). The non-forward strategies run
-    /// a sequential pruned product over the reverse adjacency index:
+    /// the same parallel product loop as the forward plan, with a backward
+    /// sweep over the reverse adjacency index charged up front and the
+    /// frontier pruned to the pairs the sweep found useful:
     ///
     /// * [`PlanStrategy::Bidirectional`] first sweeps the reversed automaton
     ///   backward over the in-adjacency rows to compute the *useful* product
@@ -1042,9 +1119,10 @@ impl DistributedPimEngine {
             _ if expr.as_k_hop().is_some() => self.rpq_batch(expr, sources),
             PlanStrategy::Bidirectional => {
                 let nfa = Nfa::from_expr(expr);
-                let mut backward = StatsDelta::new(self.config.pim.num_modules);
-                let useful = self.useful_pairs(&nfa, None, &mut backward);
-                self.pruned_product(&nfa, sources, Some(&useful), None, backward)
+                let mut preamble = StatsDelta::new(self.config.pim.num_modules);
+                let useful = self.useful_pairs(&nfa, None, &mut preamble);
+                let leg = PlannedLeg { preamble, useful: Some(&useful), accept_nodes: None };
+                self.nfa_product_batch_impl(&nfa, sources, None, Some(leg))
             }
             PlanStrategy::RareLabelSplit { split_at } => {
                 let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
@@ -1103,19 +1181,13 @@ impl DistributedPimEngine {
     }
 
     /// Charges one backward scan of `node`'s reverse row into `delta`
-    /// (id + label arrays, like the forward label-constrained scans).
+    /// (id + label arrays, like the forward label-constrained scans; the
+    /// host's working set includes its reverse rows).
     fn charge_rev_scan(&self, node: NodeId, delta: &mut StatsDelta) {
-        let bytes = self.rev_row_of(node).len() as u64 * (ID_BYTES + LABEL_BYTES);
-        match self.owner(node) {
-            Some(PartitionId::Host) => {
-                let resident = self.host_store.live_bytes() + self.host_store.rev_bytes();
-                delta.host_time += self.pim.host_random_access_cost(1, resident)
-                    + self.pim.host_sequential_read_cost(bytes);
-            }
-            Some(PartitionId::Pim(m)) => {
-                delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(bytes);
-            }
-            None => {}
+        if let Some(at) = self.owner(node) {
+            let bytes = self.rev_row_of(node).len() as u64 * PRODUCT_WIDTHS.scan;
+            let resident = self.host_store.live_bytes() + self.host_store.rev_bytes();
+            self.charge_scan(at, bytes, resident, delta);
         }
     }
 
@@ -1144,6 +1216,7 @@ impl DistributedPimEngine {
         let mut work: Vec<(NodeId, u32)> = Vec::new();
 
         // Base: pairs one matching transition away from an accepting pair.
+        // Every discovered pair is gathered to the coordinating host.
         for (q_acc, rev_row) in rev.iter().enumerate() {
             if !nfa.is_accepting(q_acc) {
                 continue;
@@ -1154,7 +1227,7 @@ impl DistributedPimEngine {
                         for n in self.spec_sources(spec, delta) {
                             if useful.insert((n, from as u32)) {
                                 work.push((n, from as u32));
-                                delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
+                                delta.cpc_bytes += PRODUCT_WIDTHS.entry;
                             }
                         }
                     }
@@ -1164,7 +1237,7 @@ impl DistributedPimEngine {
                             for &(n, label) in self.rev_row_of(m) {
                                 if spec.matches(label) && useful.insert((n, from as u32)) {
                                     work.push((n, from as u32));
-                                    delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
+                                    delta.cpc_bytes += PRODUCT_WIDTHS.entry;
                                 }
                             }
                         }
@@ -1180,201 +1253,12 @@ impl DistributedPimEngine {
                 for &(m, label) in self.rev_row_of(n) {
                     if spec.matches(label) && useful.insert((m, p as u32)) {
                         work.push((m, p as u32));
-                        delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
+                        delta.cpc_bytes += PRODUCT_WIDTHS.entry;
                     }
                 }
             }
         }
         useful
-    }
-
-    /// The sequential pruned NFA product shared by the executed non-forward
-    /// plans: the canonical forward expansion with the frontier restricted to
-    /// `useful` pairs (`None` = no pruning, the split plan's suffix leg) and,
-    /// for the split prefix leg, acceptance restricted to `accept_nodes`.
-    ///
-    /// Per-hop charges mirror the canonical loop's formulas — scan bytes per
-    /// expanded row, routed bytes per matched transition, the 25-instruction
-    /// host re-route per inter-PIM message, the final host reduce — and the
-    /// caller's `preamble` delta (the backward useful-set sweep plus seed
-    /// gathering) is charged up front as one aggregate bulk phase.
-    fn pruned_product(
-        &mut self,
-        nfa: &Nfa,
-        sources: &[NodeId],
-        useful: Option<&HashSet<(NodeId, u32)>>,
-        accept_nodes: Option<&HashSet<NodeId>>,
-        preamble: StatsDelta,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        let module_count = self.config.pim.num_modules;
-        let host_resident_bytes = self.host_store.live_bytes();
-        let mut timeline = Timeline::new();
-
-        // The backward sweep: one aggregate bulk phase (its discovered pairs
-        // were gathered to the coordinating host over the CPC link).
-        let pre_pim = self.pim.parallel_step(&preamble.per_module);
-        timeline.charge(Phase::PimCompute, pre_pim);
-        timeline.charge(Phase::HostCompute, preamble.host_time);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(preamble.cpc_bytes));
-        timeline.transfers.record_pim_to_cpu(preamble.cpc_bytes, 1);
-
-        // Dispatch: every PIM-resident source ships with the start state.
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * (ENTRY_BYTES + STATE_BYTES);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
-
-        let start = nfa.start() as u32;
-        let accepts_empty = nfa.accepts_empty();
-        let mut visited: Vec<HashSet<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                let mut seen = HashSet::new();
-                seen.insert((s, start));
-                seen
-            })
-            .collect();
-        let mut results: Vec<Vec<NodeId>> = sources
-            .iter()
-            .map(|&s| {
-                if accepts_empty && accept_nodes.is_none_or(|m| m.contains(&s)) {
-                    vec![s]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                // A start pair outside the useful set can only contribute the
-                // empty path, already reported above.
-                if useful.is_none_or(|u| u.contains(&(s, start))) {
-                    vec![(s, start)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-
-        let mut hops = 0usize;
-        let mut expansions = 0usize;
-        let mut candidates: Vec<(NodeId, u32)> = Vec::new();
-
-        while frontiers.iter().any(|f| !f.is_empty()) {
-            hops += 1;
-            let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
-            expansions += frontier_entries;
-            let mut delta = StatsDelta::new(module_count);
-            let mut new_frontiers: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(frontiers.len());
-
-            for (q, frontier) in frontiers.iter().enumerate() {
-                candidates.clear();
-                for &(v, state) in frontier {
-                    let transitions = nfa.transitions_from(state as usize);
-                    match self.owner(v) {
-                        Some(PartitionId::Host) => {
-                            let scan_bytes =
-                                self.host_store.slot_count(v) as u64 * (ID_BYTES + LABEL_BYTES);
-                            delta.host_time +=
-                                self.pim.host_random_access_cost(1, host_resident_bytes)
-                                    + self.pim.host_sequential_read_cost(scan_bytes);
-                            for (u, label) in self.host_store.neighbors_iter(v) {
-                                for &(spec, next_state) in transitions {
-                                    if !spec.matches(label) {
-                                        continue;
-                                    }
-                                    if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
-                                        delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                    }
-                                    let pair = (u, next_state as u32);
-                                    if !visited[q].contains(&pair) {
-                                        candidates.push(pair);
-                                    }
-                                }
-                            }
-                        }
-                        Some(PartitionId::Pim(m)) => {
-                            let m = m as usize;
-                            let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                            let scan_bytes = row.len() as u64 * (ID_BYTES + LABEL_BYTES);
-                            delta.per_module[m] += self.pim.pim_hash_lookup_cost(scan_bytes);
-                            for &(u, label) in row {
-                                for &(spec, next_state) in transitions {
-                                    if !spec.matches(label) {
-                                        continue;
-                                    }
-                                    match self.owner(u) {
-                                        Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                        Some(PartitionId::Pim(_)) => {
-                                            delta.ipc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                            delta.ipc_messages += 1;
-                                        }
-                                        _ => {
-                                            delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                        }
-                                    }
-                                    let pair = (u, next_state as u32);
-                                    if !visited[q].contains(&pair) {
-                                        candidates.push(pair);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                let mut next: Vec<(NodeId, u32)> = Vec::new();
-                for &pair in &candidates {
-                    visited[q].insert(pair);
-                    let (u, state) = pair;
-                    if nfa.is_accepting(state as usize)
-                        && accept_nodes.is_none_or(|m| m.contains(&u))
-                    {
-                        results[q].push(u);
-                    }
-                    if useful.is_none_or(|set| set.contains(&pair)) {
-                        next.push(pair);
-                    }
-                }
-                new_frontiers.push(next);
-            }
-
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
-            frontiers = new_frontiers;
-        }
-
-        for r in results.iter_mut() {
-            r.sort_unstable();
-            r.dedup();
-        }
-        let matched_pairs: usize = results.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
-
-        let stats =
-            QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
-        (results, stats)
     }
 
     /// Executes the rare-label-split plan: the suffix automaton runs forward
@@ -1398,35 +1282,31 @@ impl DistributedPimEngine {
 
         // Suffix leg: full forward product from the pivot sources (every
         // pivot row feeds the join, so there is nothing to prune).
+        let suffix_leg = PlannedLeg { preamble: seed_delta, useful: None, accept_nodes: None };
         let (suffix_results, suffix_stats) =
-            self.pruned_product(&suffix_nfa, &pivots, None, None, seed_delta);
+            self.nfa_product_batch_impl(&suffix_nfa, &pivots, None, Some(suffix_leg));
 
         // Prefix leg: pruned toward the pivots — only pairs that can still
         // reach an accepting pair *at a pivot node* stay in the frontier.
         let mut backward = StatsDelta::new(module_count);
         let prefix_useful = self.useful_pairs(&prefix_nfa, Some(&pivots), &mut backward);
         let accept_set: HashSet<NodeId> = pivots.iter().copied().collect();
-        let (mid_results, prefix_stats) = self.pruned_product(
-            &prefix_nfa,
-            sources,
-            Some(&prefix_useful),
-            Some(&accept_set),
-            backward,
-        );
+        let prefix_leg = PlannedLeg {
+            preamble: backward,
+            useful: Some(&prefix_useful),
+            accept_nodes: Some(&accept_set),
+        };
+        let (mid_results, prefix_stats) =
+            self.nfa_product_batch_impl(&prefix_nfa, sources, None, Some(prefix_leg));
 
         // Join on the host: each source's answer is the union of the suffix
         // answers of the pivots its prefix reached.
-        let mut pivot_index: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
-        for (i, &m) in pivots.iter().enumerate() {
-            pivot_index.insert(m, i);
-        }
         let mut join_bytes = 0u64;
         let mut results: Vec<Vec<NodeId>> = Vec::with_capacity(sources.len());
         for mids in &mid_results {
             let mut ans: Vec<NodeId> = Vec::new();
             for m in mids {
-                if let Some(&i) = pivot_index.get(m) {
+                if let Ok(i) = pivots.binary_search(m) {
                     ans.extend_from_slice(&suffix_results[i]);
                     join_bytes += suffix_results[i].len() as u64 * ID_BYTES;
                 }
@@ -1439,11 +1319,7 @@ impl DistributedPimEngine {
         let matched_pairs: usize = results.iter().map(Vec::len).sum();
         let mut timeline = suffix_stats.timeline;
         timeline += prefix_stats.timeline;
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(join_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
+        timeline.charge(Phase::Reduce, self.reduce_cost(join_bytes, matched_pairs));
         let stats = QueryStats {
             timeline,
             batch_size: sources.len(),
@@ -1454,57 +1330,35 @@ impl DistributedPimEngine {
         (results, stats)
     }
 
-    /// Batch NFA-product evaluation: the generalisation of the k-hop loop to
-    /// arbitrary label automata.
+    /// The one NFA-product loop behind every labelled plan.
     ///
-    /// Frontier entries become `(node, nfa_state)` pairs — the product of the
-    /// data graph and the query automaton — deduplicated per query with a
-    /// *global* visited set over `state × node` (required for termination on
-    /// cyclic graphs under `*`/`+`). The per-hop structure is identical to
-    /// [`DistributedPimEngine::k_hop_batch`]: each entry is expanded by the
-    /// computing node owning its row, every produced entry that leaves the
-    /// module is charged to the inter-PIM or CPC bus (`ENTRY_BYTES` plus
-    /// `STATE_BYTES` for the automaton state riding along), each hop's PIM
-    /// latency is the slowest module, and the final result is gathered and
-    /// reduced on the host. Label-constrained row scans read both the id
-    /// array and the label array, so they cost
-    /// `row_len × (ID_BYTES + LABEL_BYTES)` instead of the k-hop loop's
-    /// id-array-only `row_len × ID_BYTES`.
-    ///
-    /// A node is reported for a query as soon as *some* visited product state
-    /// is accepting; if the automaton accepts the empty path the source
-    /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
-    pub fn nfa_product_batch(
-        &mut self,
-        nfa: &Nfa,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.nfa_product_batch_impl(nfa, sources, None)
-    }
-
-    /// The shared NFA-product loop; the tracked entry point passes a deps
-    /// accumulator filled from the per-query visited sets (which contain
-    /// every visited product pair, sources included) and the merged per-hop
-    /// deltas (host lane).
+    /// The tracked entry point passes a deps accumulator filled from the
+    /// per-query visited sets (which contain every visited product pair,
+    /// sources included) and the merged per-hop deltas (host lane). A
+    /// planned execution passes its [`PlannedLeg`]: the preamble is charged
+    /// before dispatch, and both filters act only on merged state, so the
+    /// determinism argument of the forward plan covers them unchanged.
     fn nfa_product_batch_impl(
         &mut self,
         nfa: &Nfa,
         sources: &[NodeId],
         mut track: Option<&mut QueryDeps>,
+        leg: Option<PlannedLeg<'_>>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        let module_count = self.config.pim.num_modules;
-        let host_resident_bytes: u64 = self.host_store.live_bytes();
         let mut timeline = Timeline::new();
         let mut expansions = 0usize;
 
-        // Dispatch: every PIM-resident source is shipped to its module
-        // together with the automaton start state.
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * (ENTRY_BYTES + STATE_BYTES);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
+        // A planned leg's backward sweep: one aggregate bulk phase, charged
+        // like a hop that forwards nothing between modules (its discovered
+        // pairs were gathered to the coordinating host over the CPC link).
+        let (useful, accept_nodes) = match leg {
+            Some(leg) => {
+                self.charge_hop(&leg.preamble, &mut timeline);
+                (leg.useful, leg.accept_nodes)
+            }
+            None => (None, None),
+        };
+        self.charge_dispatch(sources, PRODUCT_WIDTHS.entry, &mut timeline);
 
         // Per-query visited sets are hash sets, not the k-hop loop's
         // `EpochMarks`: those dedup per `(query, hop)` generation, but the
@@ -1514,6 +1368,7 @@ impl DistributedPimEngine {
         // cost `nodes × states × batch` memory, where hash sets stay
         // proportional to what each query actually visits).
         let start = nfa.start() as u32;
+        let is_useful = |pair: &(NodeId, u32)| useful.is_none_or(|set| set.contains(pair));
         let mut visited: Vec<HashSet<(NodeId, u32)>> = sources
             .iter()
             .map(|&s| {
@@ -1522,13 +1377,17 @@ impl DistributedPimEngine {
                 seen
             })
             .collect();
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> =
-            sources.iter().map(|&s| vec![(s, start)]).collect();
+        // A start pair outside the useful set can only contribute the empty
+        // path, which is read out of `visited` like every other answer.
+        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
+            .iter()
+            .map(|&s| if is_useful(&(s, start)) { vec![(s, start)] } else { Vec::new() })
+            .collect();
         let mut next_frontiers: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); frontiers.len()];
         let mut hops = 0usize;
 
-        let module_ranges = self.worker_layout();
-        let mut ctxs = self.take_nfa_ctxs(module_ranges.len());
+        let width = self.layout_width();
+        let mut ctxs = take_ctxs(&mut self.nfa_ctxs, width);
 
         while frontiers.iter().any(|f| !f.is_empty()) {
             hops += 1;
@@ -1540,49 +1399,19 @@ impl DistributedPimEngine {
 
             // ---- execute: workers expand their modules' product entries,
             // reading the per-query visited sets as an immutable snapshot
-            // (they are only extended at the merge barrier below). Like the
-            // k-hop loop, the worker count is clamped by the hop's frontier
-            // size so long-tail closure hops skip the spawn/join barrier.
-            let active = active_workers(&module_ranges, frontier_entries);
-            let hop_ranges = chunk_ranges(module_count, active);
-            for ctx in &mut ctxs[..active] {
-                ctx.nexts.resize(frontiers.len(), Vec::new());
-            }
-            let this: &DistributedPimEngine = self;
-            let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
-                this.nfa_hop_worker(
-                    &hop_ranges[worker],
-                    worker == 0,
-                    nfa,
-                    &frontiers,
-                    &visited,
-                    host_resident_bytes,
-                    ctx,
-                )
-            });
+            // (they are only extended at the merge barrier below).
+            let (active, delta) =
+                self.run_hop(&mut ctxs, frontier_entries, &mut timeline, |this, lane, ctx| {
+                    this.nfa_hop_worker(lane, nfa, &frontiers, &visited, ctx)
+                });
 
-            // ---- merge: id-ordered delta reduction, then the frontier
-            // union. Candidates were filtered against the visited snapshot
-            // and deduplicated per worker, so after the sorted cross-worker
-            // dedup every surviving pair enters the visited set — producing
-            // exactly the sequential loop's sorted, duplicate-free next
-            // frontier and exactly its visited-set growth.
-            let mut delta = StatsDelta::new(module_count);
-            for worker_delta in &deltas {
-                delta.merge(worker_delta);
-            }
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
-
+            // ---- merge: the frontier union. Candidates were filtered
+            // against the visited snapshot and deduplicated per worker, so
+            // after the sorted cross-worker dedup every surviving pair enters
+            // the visited set — producing exactly the sequential loop's
+            // sorted, duplicate-free next frontier and exactly its
+            // visited-set growth. Only then does a planned leg prune the next
+            // frontier to useful pairs.
             for (q, next) in next_frontiers.iter_mut().enumerate() {
                 for ctx in &mut ctxs[..active] {
                     next.append(&mut ctx.nexts[q]);
@@ -1592,6 +1421,9 @@ impl DistributedPimEngine {
                 for &pair in next.iter() {
                     visited[q].insert(pair);
                 }
+                if useful.is_some() {
+                    next.retain(is_useful);
+                }
             }
             if let Some(deps) = track.as_deref_mut() {
                 // Merged-delta host time is thread-count invariant.
@@ -1599,7 +1431,7 @@ impl DistributedPimEngine {
             }
             std::mem::swap(&mut frontiers, &mut next_frontiers);
         }
-        self.put_nfa_ctxs(ctxs);
+        put_ctxs(&mut self.nfa_ctxs, ctxs);
 
         if let Some(deps) = track {
             // The visited sets hold every reached product pair — sources
@@ -1623,7 +1455,10 @@ impl DistributedPimEngine {
                 // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_unstable + dedup below before use")
                 let mut nodes: Vec<NodeId> = seen
                     .iter()
-                    .filter(|&&(_, state)| nfa.is_accepting(state as usize))
+                    .filter(|&&(node, state)| {
+                        nfa.is_accepting(state as usize)
+                            && accept_nodes.is_none_or(|set| set.contains(&node))
+                    })
                     .map(|&(node, _)| node)
                     .collect();
                 nodes.sort_unstable();
@@ -1632,18 +1467,8 @@ impl DistributedPimEngine {
             })
             .collect();
 
-        // Reduction (`mwait`): gather every query's accepted destinations to
-        // the host and merge the per-module partial results.
         let matched_pairs: usize = results.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
-
+        self.charge_gather_reduce(matched_pairs, &mut timeline);
         let stats =
             QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
         (results, stats)
@@ -1659,81 +1484,38 @@ impl DistributedPimEngine {
     /// new to both the query's visited snapshot (immutable during the hop)
     /// and the worker's per-query local set; byte charges are per matched
     /// transition, unconditional, exactly as in the sequential loop.
-    #[allow(clippy::too_many_arguments)]
     fn nfa_hop_worker(
         &self,
-        my_modules: &Range<usize>,
-        host_lane: bool,
+        lane: &Lane,
         nfa: &Nfa,
         frontiers: &[Vec<(NodeId, u32)>],
         visited: &[HashSet<(NodeId, u32)>],
-        host_resident_bytes: u64,
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        ctx.nexts.resize(frontiers.len(), Vec::new());
         for (q, frontier) in frontiers.iter().enumerate() {
             let next = &mut ctx.nexts[q];
             let snapshot = &visited[q];
             ctx.seen.clear();
             for &(v, state) in frontier {
                 let transitions = nfa.transitions_from(state as usize);
-                match self.owner(v) {
-                    Some(PartitionId::Host) if host_lane => {
-                        let scan_bytes =
-                            self.host_store.slot_count(v) as u64 * (ID_BYTES + LABEL_BYTES);
-                        delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
-                            + self.pim.host_sequential_read_cost(scan_bytes);
-                        for (u, label) in self.host_store.neighbors_iter(v) {
-                            for &(spec, next_state) in transitions {
-                                if !spec.matches(label) {
-                                    continue;
-                                }
-                                if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
-                                    delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                }
-                                // Local-set first: duplicate productions (the
-                                // common case under closures) cost one hash
-                                // probe; the visited snapshot is consulted
-                                // only on first local sight.
-                                let pair = (u, next_state as u32);
-                                if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
-                                    next.push(pair);
-                                }
-                            }
+                self.expand_row(lane, v, PRODUCT_WIDTHS.scan, &mut delta, |delta, at, u, label| {
+                    for &(spec, next_state) in transitions {
+                        if !spec.matches(label) {
+                            continue;
+                        }
+                        self.charge_route(at, u, PRODUCT_WIDTHS.entry, delta);
+                        // Local-set first: duplicate productions (the
+                        // common case under closures) cost one hash
+                        // probe; the visited snapshot is consulted only
+                        // on first local sight.
+                        let pair = (u, next_state as u32);
+                        if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
+                            next.push(pair);
                         }
                     }
-                    Some(PartitionId::Pim(m)) if my_modules.contains(&(m as usize)) => {
-                        let m = m as usize;
-                        let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                        let scan_bytes = row.len() as u64 * (ID_BYTES + LABEL_BYTES);
-                        delta.per_module[m] += self.pim.pim_hash_lookup_cost(scan_bytes);
-                        for &(u, label) in row {
-                            for &(spec, next_state) in transitions {
-                                if !spec.matches(label) {
-                                    continue;
-                                }
-                                match self.owner(u) {
-                                    Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                    Some(PartitionId::Pim(_)) => {
-                                        delta.ipc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                        delta.ipc_messages += 1;
-                                    }
-                                    _ => {
-                                        delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                    }
-                                }
-                                let pair = (u, next_state as u32);
-                                if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
-                                    next.push(pair);
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        // Another worker's module, or a node that has never
-                        // appeared in the edge stream (no outgoing edges).
-                    }
-                }
+                });
             }
         }
         delta

@@ -78,7 +78,9 @@ pub trait GraphEngine {
     /// The default ignores the strategy and runs the canonical forward path,
     /// which is always correct; the in-tree engines override it with real
     /// bidirectional / rare-label-split executors over their reverse
-    /// adjacency indexes.
+    /// adjacency indexes. On the PIM engines those executors run on the same
+    /// parallel product loop as the forward plan, so their answers and stats
+    /// are identical at every thread count.
     fn rpq_batch_planned(
         &mut self,
         expr: &RpqExpr,

@@ -268,15 +268,9 @@ impl HeterogeneousStorage {
             .flat_map(|c| c.slots.iter().copied().filter(|&(d, _)| d != FREE_SLOT))
     }
 
-    /// Bytes the host reads to fetch the id array of `src`'s row (one
-    /// contiguous fetch over the whole `cols_vector`, including free slots;
-    /// the parallel label array is charged separately via
-    /// [`HeterogeneousStorage::slot_count`] when a scan is label-constrained).
-    pub fn row_bytes(&self, src: NodeId) -> u64 {
-        (self.slot_count(src) * std::mem::size_of::<NodeId>()) as u64
-    }
-
-    /// Number of slots (live + free) in `src`'s `cols_vector`.
+    /// Number of slots (live + free) in `src`'s `cols_vector`: a host scan
+    /// of the row is one contiguous fetch over all of them, free slots
+    /// included.
     pub fn slot_count(&self, src: NodeId) -> usize {
         self.cols.get(&src).map(|c| c.slots.len()).unwrap_or(0)
     }
@@ -475,7 +469,7 @@ impl HeterogeneousStorage {
     /// Each entry is `(row, slots, free)`: the host-side `cols_vector`
     /// **verbatim** — free slots included, as the sentinel id — plus the
     /// row's free list in its exact pop order. Both must be preserved
-    /// byte-for-byte: the slot layout determines `row_bytes` (and thus every
+    /// byte-for-byte: the slot layout determines `slot_count` (and thus every
     /// future query cost), and the free-list order determines which slot the
     /// next insert reuses.
     pub fn export_rows(&self) -> Vec<ExportedHostRow> {
@@ -538,7 +532,7 @@ mod tests {
         assert!(s.delete_edge(NodeId(1), NodeId(5), ANY).changed);
         // The freed slot (position 0) must be reused by the next insert.
         assert!(s.insert_edge(NodeId(1), NodeId(7), ANY).changed);
-        assert_eq!(s.row_bytes(NodeId(1)), 16); // still only two slots
+        assert_eq!(s.slot_count(NodeId(1)), 2); // still only two slots
         let mut n: Vec<NodeId> = s.neighbors(NodeId(1)).into_iter().map(|(d, _)| d).collect();
         n.sort();
         assert_eq!(n, vec![NodeId(6), NodeId(7)]);
@@ -643,11 +637,11 @@ mod tests {
             vec![(NodeId(5), ANY), (NodeId(6), ANY), (NodeId(7), ANY), (NodeId(4), ANY)],
         );
         s.delete_edge(NodeId(1), NodeId(6), ANY).changed.then_some(()).unwrap();
-        let before_bytes = s.row_bytes(NodeId(1));
+        let before_slots = s.slot_count(NodeId(1));
         let outcome = s.insert_edge(NodeId(1), NodeId(2), ANY);
         assert!(outcome.changed);
         assert_eq!(outcome.cost.host_bytes_written, 8);
-        assert_eq!(s.row_bytes(NodeId(1)), before_bytes); // slot reused, no growth
+        assert_eq!(s.slot_count(NodeId(1)), before_slots); // slot reused, no growth
         assert!(s.has_edge(NodeId(1), NodeId(2), ANY));
         s.check_invariants().unwrap();
     }

@@ -7,7 +7,6 @@
 //!   property/value pairs) used by graph databases.
 //! * [`adjacency`] — a dynamic, labelled, directed adjacency-list graph; the
 //!   logical "whole graph" view used by generators and baselines.
-//! * [`csr`] — an immutable compressed-sparse-row snapshot for analytics.
 //! * [`local`] — the per-PIM-module *local graph storage*: a hash map from row
 //!   id (NodeId) to row data (labelled next-hop pairs), exactly as described
 //!   in Section 3.1 of the paper.
@@ -37,7 +36,6 @@
 
 pub mod adjacency;
 mod bytes;
-pub mod csr;
 pub mod degree;
 pub mod durable;
 pub mod edgelist;
@@ -51,7 +49,6 @@ pub mod snapshot;
 pub mod wal;
 
 pub use adjacency::AdjacencyGraph;
-pub use csr::CsrGraph;
 pub use degree::{DegreeTracker, HIGH_DEGREE_THRESHOLD};
 pub use durable::{
     current_generation, generation_snapshot_path, generation_wal_path, DurableStore, RecoveredState,
@@ -68,7 +65,6 @@ pub use wal::{TornTail, WalDecode, WalOp, WalRecord, WalWriter};
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::adjacency::AdjacencyGraph;
-    pub use crate::csr::CsrGraph;
     pub use crate::degree::{DegreeTracker, HIGH_DEGREE_THRESHOLD};
     pub use crate::error::GraphStoreError;
     pub use crate::heterogeneous::HeterogeneousStorage;

@@ -57,15 +57,6 @@ impl PimSystem {
         &self.modules[index]
     }
 
-    /// Mutable access to a module's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= module_count()`.
-    pub fn module_mut(&mut self, index: usize) -> &mut PimModule {
-        &mut self.modules[index]
-    }
-
     /// Reserves `bytes` of MRAM on module `index` (graph data placement).
     ///
     /// # Errors
@@ -191,11 +182,6 @@ impl PimSystem {
     // ------------------------------------------------------------------
     // Load-balance reporting
     // ------------------------------------------------------------------
-
-    /// Busy time of every module, in module order.
-    pub fn busy_times(&self) -> Vec<SimTime> {
-        self.modules.iter().map(|m| m.busy_time()).collect()
-    }
 
     /// Load-imbalance factor: max module busy time divided by the mean.
     ///

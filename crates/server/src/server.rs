@@ -516,13 +516,6 @@ impl QueryServer {
     pub fn engine_ref(&self) -> &(dyn GraphEngine + Send) {
         &*self.engine
     }
-
-    /// Mutable access to the engine (tests/benches; not part of the serving
-    /// path — mutating the graph around the cache invalidates nothing, so
-    /// use requests for updates).
-    pub fn engine_mut(&mut self) -> &mut (dyn GraphEngine + Send) {
-        &mut *self.engine
-    }
 }
 
 #[cfg(test)]

@@ -221,11 +221,6 @@ impl ShardedEngine {
         ShardedEngine { shards, plan, owner, pool: WorkerPool::new(threads), clock }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The frozen plan.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan

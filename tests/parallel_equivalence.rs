@@ -1,6 +1,7 @@
 //! Parallel-runtime equivalence: executing the engines at `--threads ∈
 //! {1, 2, 4, 8}` must be **observably identical** to single-threaded
-//! execution — same `k_hop_batch`/`rpq_batch` results, same simulated
+//! execution — same `k_hop_batch`/`rpq_batch` results (also under the
+//! bidirectional and rare-label-split planned executors), same simulated
 //! `SimTime` per phase, same transfer-byte tallies — over labelled uniform
 //! and power-law graphs with interleaved labelled updates.
 //!
@@ -14,8 +15,11 @@
 
 use graph_gen::labels::{relabel, LabelMixConfig};
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{
+    GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem, QueryStats,
+};
 use proptest::prelude::*;
+use rpq::PlanStrategy;
 
 /// Thread counts the equivalence sweep compares against the 1-thread run.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -24,6 +28,12 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// label-filtered hops), closure with alternation (NFA product / automaton
 /// sweep), plain k-hop fast path, and transitive closure.
 const QUERIES: [&str; 4] = ["1/2/3", "1/(2|3)*/4", ".{2}", "1+"];
+
+/// Every query runs on the forward path (`None`, plain `rpq_batch`) and under
+/// both non-forward planned executors. A split position without a mandatory
+/// exact pivot, and every k-hop shape, falls back to forward.
+const PLANS: [Option<PlanStrategy>; 3] =
+    [None, Some(PlanStrategy::Bidirectional), Some(PlanStrategy::RareLabelSplit { split_at: 1 })];
 
 /// Builds the three engines at the given thread count, loaded with the
 /// labelled stream (Moctopus refined once, as in the experiment harness).
@@ -56,6 +66,58 @@ fn update_batches(model: &AdjacencyGraph, seed: u64) -> (LabeledBatch, LabeledBa
     (inserts, deletes)
 }
 
+/// Answers `text` on `engine` under `plan`.
+fn run_query(
+    engine: &mut dyn GraphEngine,
+    text: &str,
+    sources: &[NodeId],
+    plan: Option<PlanStrategy>,
+) -> (Vec<Vec<NodeId>>, QueryStats) {
+    let expr = rpq::parser::parse(text).expect("query set must parse");
+    match plan {
+        None => engine.rpq_batch(&expr, sources),
+        Some(strategy) => engine.rpq_batch_planned(&expr, sources, strategy),
+    }
+}
+
+/// Asserts every query of [`QUERIES`] under every plan of [`PLANS`] gives
+/// the same results and the same full stats on both engines.
+fn assert_queries_equal(
+    reference: &mut dyn GraphEngine,
+    parallel: &mut dyn GraphEngine,
+    sources: &[NodeId],
+    threads: usize,
+    phase: &str,
+) -> Result<(), TestCaseError> {
+    for text in QUERIES {
+        for plan in PLANS {
+            let (want, want_stats) = run_query(reference, text, sources, plan);
+            let (got, got_stats) = run_query(parallel, text, sources, plan);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "{}: {} results differ at {} threads on {:?} under {:?}",
+                phase,
+                reference.name(),
+                threads,
+                text,
+                plan
+            );
+            prop_assert_eq!(
+                got_stats,
+                want_stats,
+                "{}: {} SimTime/transfer stats differ at {} threads on {:?} under {:?}",
+                phase,
+                reference.name(),
+                threads,
+                text,
+                plan
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Runs the full workload — queries, k-hop batches, interleaved updates,
 /// more queries — on engines at `threads` and at 1 thread, asserting every
 /// observable output (results + complete stats) is identical pairwise.
@@ -74,27 +136,7 @@ fn assert_thread_equivalence(
             prop_assert_eq!(parallel.threads(), threads);
 
             // Phase 1: queries over the freshly built graph.
-            for text in QUERIES {
-                let expr = rpq::parser::parse(text).expect("query set must parse");
-                let (want, want_stats) = reference.rpq_batch(&expr, sources);
-                let (got, got_stats) = parallel.rpq_batch(&expr, sources);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "{} results differ at {} threads on {:?}",
-                    reference.name(),
-                    threads,
-                    text
-                );
-                prop_assert_eq!(
-                    got_stats,
-                    want_stats,
-                    "{} SimTime/transfer stats differ at {} threads on {:?}",
-                    reference.name(),
-                    threads,
-                    text
-                );
-            }
+            assert_queries_equal(reference, parallel, sources, threads, "fresh")?;
             for k in 1..=3usize {
                 let (want, want_stats) = reference.k_hop_batch(sources, k);
                 let (got, got_stats) = parallel.k_hop_batch(sources, k);
@@ -112,25 +154,7 @@ fn assert_thread_equivalence(
 
             // Phase 3: queries over the updated graph (exercises promoted
             // rows, emptied rows, and the refreshed baseline matrices).
-            for text in QUERIES {
-                let expr = rpq::parser::parse(text).expect("query set must parse");
-                let (want, want_stats) = reference.rpq_batch(&expr, sources);
-                let (got, got_stats) = parallel.rpq_batch(&expr, sources);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "post-update results differ at {} threads on {:?}",
-                    threads,
-                    text
-                );
-                prop_assert_eq!(
-                    got_stats,
-                    want_stats,
-                    "post-update stats differ at {} threads on {:?}",
-                    threads,
-                    text
-                );
-            }
+            assert_queries_equal(reference, parallel, sources, threads, "post-update")?;
         }
         // The 1-thread engines advanced through the updates; rebuild them so
         // every thread count is compared from the same pristine state.
