@@ -82,7 +82,7 @@ fn main() {
         let mut with_labor = workload.moctopus(&options);
         let mut config_off = options.system_config();
         config_off.labor_division = false;
-        let mut without_labor = MoctopusSystem::from_edge_stream(config_off, &workload.edges);
+        let mut without_labor = MoctopusSystem::new(config_off).with_edge_stream(&workload.edges);
         let mut pim_hash = workload.pim_hash(&options);
 
         let (_, on) = with_labor.k_hop_batch(&workload.sources, 3);

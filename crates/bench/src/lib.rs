@@ -21,7 +21,7 @@ pub use serve::{ServeTrace, ServeTraceConfig};
 use graph_gen::labels::LabelMixConfig;
 use graph_gen::traces::TraceSpec;
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use moctopus_runtime::WorkerPool;
 
 /// Command-line options shared by every experiment binary.
@@ -168,12 +168,12 @@ impl TraceWorkload {
 
     /// Builds a Moctopus system loaded with this workload.
     pub fn moctopus(&self, options: &HarnessOptions) -> MoctopusSystem {
-        MoctopusSystem::from_edge_stream(options.system_config(), &self.edges)
+        MoctopusSystem::new(options.system_config()).with_edge_stream(&self.edges)
     }
 
     /// Builds a PIM-hash system loaded with this workload.
-    pub fn pim_hash(&self, options: &HarnessOptions) -> PimHashSystem {
-        PimHashSystem::from_edge_stream(options.system_config(), &self.edges)
+    pub fn pim_hash(&self, options: &HarnessOptions) -> MoctopusSystem {
+        MoctopusSystem::pim_hash(options.system_config()).with_edge_stream(&self.edges)
     }
 
     /// Builds the RedisGraph-like baseline loaded with this workload.
@@ -357,7 +357,7 @@ impl RpqWorkload {
         let mut moctopus = MoctopusSystem::new(options.system_config());
         moctopus.insert_labeled_edges(&self.edges);
         moctopus.refine_locality();
-        let mut pim_hash = PimHashSystem::new(options.system_config());
+        let mut pim_hash = MoctopusSystem::pim_hash(options.system_config());
         pim_hash.insert_labeled_edges(&self.edges);
         let mut baseline = HostBaseline::new(options.system_config());
         baseline.insert_labeled_edges(&self.edges);

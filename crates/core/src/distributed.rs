@@ -1,10 +1,11 @@
-//! The shared distributed PIM execution engine.
+//! The distributed PIM execution engine: [`MoctopusSystem`].
 //!
 //! Moctopus and the PIM-hash contrast system differ only in *where rows are
 //! placed* (greedy-adaptive partitioning with labor division versus plain
 //! hashing); the operator processors, the communication accounting, and the
-//! update machinery are identical. [`DistributedPimEngine`] implements that
-//! shared machinery once:
+//! update machinery are identical. So they are one type with two
+//! constructors, [`MoctopusSystem::new`] and [`MoctopusSystem::pim_hash`],
+//! and the engine implements the shared machinery once:
 //!
 //! * every PIM module owns a [`LocalGraphStorage`] hash-map segment of the
 //!   adjacency matrix;
@@ -19,7 +20,7 @@
 //! * general regular path queries run the same hop loop over the *product* of
 //!   the graph and the query automaton: frontier entries become
 //!   `(node, nfa_state)` pairs and rows are filtered by edge label
-//!   ([`DistributedPimEngine::rpq_batch`]); plain `.{k}` shapes take the
+//!   ([`GraphEngine::rpq_batch`]); plain `.{k}` shapes take the
 //!   k-hop fast path unchanged;
 //! * batch updates are routed to the owning computing node and charged to the
 //!   narrow CPU↔PIM bus plus the owner's compute budget; edge labels ride
@@ -42,6 +43,7 @@
 
 use crate::config::MoctopusConfig;
 use crate::deps::{QueryDeps, UpdateFootprint};
+use crate::engine::GraphEngine;
 use crate::stats::{QueryStats, StatsDelta, UpdateStats};
 use graph_partition::{
     GreedyAdaptivePartitioner, HashPartitioner, MigrationReport, PartitionAssignment,
@@ -107,9 +109,9 @@ fn row_label_wire_bytes(row: &[(NodeId, Label)]) -> u64 {
     row.iter().map(|&(_, l)| label_wire_bytes(l)).sum()
 }
 
-/// The placement policy driving a [`DistributedPimEngine`].
+/// Where a [`MoctopusSystem`] places rows; chosen by its constructor.
 #[derive(Debug, Clone)]
-pub enum PlacementPolicy {
+enum PlacementPolicy {
     /// The paper's greedy-adaptive partitioner with labor division.
     GreedyAdaptive(GreedyAdaptivePartitioner),
     /// Consistent hashing over PIM modules (the PIM-hash contrast system).
@@ -287,9 +289,31 @@ fn merge_khop_frontiers(ctxs: &mut [HopCtx], next_frontiers: &mut [Vec<NodeId>])
     }
 }
 
-/// Distributed graph engine over a simulated PIM platform.
+/// The Moctopus PIM-based graph data management system, and — built with
+/// [`MoctopusSystem::pim_hash`] — the PIM-hash contrast system: one
+/// distributed engine over a simulated PIM platform whose placement is the
+/// only thing the two constructors choose.
+///
+/// [`MoctopusSystem::new`] couples the engine with the paper's PIM-friendly
+/// dynamic graph partitioning algorithm: labor division sends high-degree
+/// rows to the host, the radical greedy heuristic keeps neighbouring
+/// low-degree rows on the same PIM module, a dynamic 1.05× capacity
+/// constraint maintains load balance, and the node migrator repairs
+/// incorrectly partitioned rows detected during path matching.
+///
+/// # Examples
+///
+/// ```
+/// use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, NodeId};
+///
+/// let edges: Vec<(NodeId, NodeId)> = (0..32u64).map(|i| (NodeId(i), NodeId((i + 1) % 32))).collect();
+/// let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test());
+/// moctopus.insert_edges(&edges);
+/// let (results, _stats) = moctopus.k_hop_batch(&[NodeId(4)], 2);
+/// assert_eq!(results[0], vec![NodeId(6)]);
+/// ```
 #[derive(Debug, Clone)]
-pub struct DistributedPimEngine {
+pub struct MoctopusSystem {
     config: MoctopusConfig,
     pim: PimSystem,
     policy: PlacementPolicy,
@@ -305,15 +329,46 @@ pub struct DistributedPimEngine {
     nfa_ctxs: Vec<NfaHopCtx>,
 }
 
-impl DistributedPimEngine {
-    /// Creates an engine with the given placement policy.
+impl MoctopusSystem {
+    /// Creates an empty Moctopus deployment: greedy-adaptive placement with
+    /// labor division.
     ///
     /// The execution runtime uses `config.threads` host worker threads
-    /// (`0` = available parallelism); see [`DistributedPimEngine::set_threads`].
-    pub fn new(config: MoctopusConfig, policy: PlacementPolicy) -> Self {
+    /// (`0` = available parallelism); see [`GraphEngine::set_threads`].
+    pub fn new(config: MoctopusConfig) -> Self {
+        let partitioner = GreedyAdaptivePartitioner::with_config(config.partitioner_config());
+        Self::with_policy(config, PlacementPolicy::GreedyAdaptive(partitioner))
+    }
+
+    /// Creates an empty PIM-hash deployment: the same engine with every
+    /// graph node assigned to a PIM module by a consistent hash — the
+    /// partitioning scheme used by distributed graph databases such as G-Tran
+    /// and ByteGraph — and no labor division.
+    ///
+    /// Hash placement is oblivious to locality (nearly every next-hop crosses
+    /// the narrow CPU↔PIM bus as inter-PIM traffic) and to skew (high-degree
+    /// nodes overload individual modules), which is precisely what Figures 4
+    /// and 5 measure against.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, NodeId};
+    /// let mut system = MoctopusSystem::pim_hash(MoctopusConfig::small_test());
+    /// system.insert_edges(&[(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]);
+    /// let (results, _) = system.k_hop_batch(&[NodeId(0)], 2);
+    /// assert_eq!(results[0], vec![NodeId(2)]);
+    /// assert_eq!(system.name(), "PIM-hash");
+    /// ```
+    pub fn pim_hash(config: MoctopusConfig) -> Self {
+        let partitioner = HashPartitioner::new(config.pim.num_modules);
+        Self::with_policy(config, PlacementPolicy::Hash(partitioner))
+    }
+
+    fn with_policy(config: MoctopusConfig, policy: PlacementPolicy) -> Self {
         let pim = PimSystem::new(config.pim);
         let local_stores = (0..config.pim.num_modules).map(|_| LocalGraphStorage::new()).collect();
-        DistributedPimEngine {
+        MoctopusSystem {
             pool: WorkerPool::new(config.threads),
             config,
             pim,
@@ -327,22 +382,13 @@ impl DistributedPimEngine {
         }
     }
 
-    /// Reconfigures the execution runtime to `threads` host worker threads
-    /// (`0` = available parallelism).
-    ///
-    /// This only changes how much wall-clock parallelism the *simulator*
-    /// uses; simulated results, `SimTime`, and transfer tallies are
-    /// byte-identical at every thread count. The engine's
-    /// [`config`](DistributedPimEngine::config) follows, so sibling engines
-    /// built from a clone of it inherit the new thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-        self.pool = WorkerPool::new(threads);
-    }
-
-    /// Host worker threads the execution runtime is configured for.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
+    /// Streams an edge list through the placement and then runs one
+    /// locality-refinement pass (a no-op under hash placement): the steady
+    /// state a long-running deployment converges to.
+    pub fn with_edge_stream(mut self, edges: &[(NodeId, NodeId)]) -> Self {
+        self.insert_edges(edges);
+        self.refine_locality();
+        self
     }
 
     /// The hop loops' batch-level worker count for the current thread count.
@@ -390,19 +436,9 @@ impl DistributedPimEngine {
         &self.config
     }
 
-    /// The simulated PIM platform (busy times, load imbalance, MRAM usage).
-    pub fn pim(&self) -> &PimSystem {
-        &self.pim
-    }
-
     /// The current node-to-partition assignment.
     pub fn assignment(&self) -> &PartitionAssignment {
         self.policy.assignment()
-    }
-
-    /// Number of directed edges stored across all computing nodes.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
     }
 
     /// Number of rows resident on the host (high-degree nodes).
@@ -415,88 +451,21 @@ impl DistributedPimEngine {
         self.pim.load_imbalance()
     }
 
-    /// Merged per-label statistics across the whole storage plane: every
-    /// PIM module's local store (in module-id order) plus the host store.
-    ///
-    /// Each store maintains its table incrementally on its own mutation
-    /// paths (including row promotion/migration), so this is a pure merge —
-    /// no row is rescanned. The merge order is fixed, and
-    /// [`LabelStatsSnapshot::merge`] is commutative summation, so the result
-    /// is deterministic regardless of thread count.
-    pub fn label_stats(&self) -> LabelStatsSnapshot {
-        let mut merged = LabelStatsSnapshot::default();
-        for store in &self.local_stores {
-            merged.merge(&store.label_stats().snapshot());
-        }
-        merged.merge(&self.host_store.label_stats().snapshot());
-        merged
-    }
-
-    /// The in-adjacency secondary index flattened to canonical reverse rows
-    /// (nodes ascending, entries sorted), merged across every store.
-    ///
-    /// Every node's reverse row lives in exactly one store (it is colocated
-    /// with the node's forward row), so concatenation plus a sort by node id
-    /// is a faithful global view. Diagnostic surface: the differential tests
-    /// use it to prove incremental maintenance, migration, and post-restore
-    /// reconstruction all land on the same bits.
-    pub fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> = Vec::new();
-        for store in &self.local_stores {
-            rows.extend(store.export_rev_rows());
-        }
-        rows.extend(self.host_store.export_rev_rows());
-        rows.sort_by_key(|&(n, _)| n);
-        rows
-    }
-
     /// The PIM module that stores the host-side supplementary maps for `row`
     /// (the `elem_position_map` / `free_list_map` shards).
     fn aux_module(&self, row: NodeId) -> usize {
         (row.0.wrapping_mul(0xff51_afd7_ed55_8ccd) % self.config.pim.num_modules as u64) as usize
     }
 
-    /// Where the row of `node` currently lives. Falls back to a hash placement
-    /// for nodes the partitioner has not seen (defensive; should not happen).
-    fn owner(&self, node: NodeId) -> Option<PartitionId> {
+    /// Where the row of `node` currently lives, or `None` for a node no
+    /// edge has named yet (it has no row anywhere).
+    pub fn partition_of(&self, node: NodeId) -> Option<PartitionId> {
         self.policy.partition_of(node)
     }
 
     // ------------------------------------------------------------------
     // Updates
     // ------------------------------------------------------------------
-
-    /// Inserts a batch of unlabelled edges (they receive [`Label::ANY`]),
-    /// routing each one to the computing node that owns the source row and
-    /// charging the work to the cost model.
-    pub fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
-    }
-
-    /// Inserts a batch of labelled edges. The default label travels for free
-    /// (it is elided on the wire); every other label is charged
-    /// `LABEL_BYTES` on the CPU→PIM bus and in the MRAM write.
-    pub fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().copied(), edges.len(), None)
-    }
-
-    /// [`DistributedPimEngine::insert_labeled_edges`] plus the batch's
-    /// dependency footprint — the cache hook of the insert path.
-    ///
-    /// The footprint is the batch-derived base
-    /// ([`UpdateFootprint::from_edges`]: per-label source buckets, structural
-    /// source+destination buckets) with `host_store` set by the loop itself
-    /// whenever a host-resident row was written or a promotion installed one
-    /// (only the engine can observe those).
-    pub fn insert_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        let mut footprint = UpdateFootprint::from_edges(edges);
-        let stats =
-            self.insert_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
-        (stats, footprint)
-    }
 
     /// The shared insert loop; the unlabelled entry point streams `Label::ANY`
     /// in without materialising a labelled copy of the batch, and the tracked
@@ -514,10 +483,10 @@ impl DistributedPimEngine {
 
         for (src, dst, label) in edges {
             // Partitioning decision happens on edge arrival (radical greedy).
-            let before = self.owner(src);
+            let before = self.partition_of(src);
             self.policy.on_edge(src, dst);
             // moctopus-lint: allow(panic-in-lib, reason = "on_edge unconditionally assigns src an owner on the line above")
-            let after = self.owner(src).expect("source was just assigned");
+            let after = self.partition_of(src).expect("source was just assigned");
             // Labor division: the node may have just crossed the threshold.
             if let (Some(PartitionId::Pim(old)), PartitionId::Host) = (before, after) {
                 self.promote_to_host(src, old as usize, &mut delta);
@@ -592,7 +561,7 @@ impl DistributedPimEngine {
     ) {
         // Both partitioners assign the destination an owner on edge arrival,
         // so the lookup only misses for nodes outside the stream (defensive).
-        let Some(rev_owner) = self.owner(dst) else { return };
+        let Some(rev_owner) = self.partition_of(dst) else { return };
         if let Some(fp) = footprint.as_deref_mut() {
             fp.host_store |= rev_owner == PartitionId::Host;
         }
@@ -611,7 +580,7 @@ impl DistributedPimEngine {
         }
     }
 
-    /// Mirror of [`DistributedPimEngine::mirror_rev_insert`] for the delete
+    /// Mirror of [`MoctopusSystem::mirror_rev_insert`] for the delete
     /// path: removes the reverse entry at the destination row's owner and
     /// charges the mirrored write identically.
     fn mirror_rev_delete(
@@ -622,7 +591,7 @@ impl DistributedPimEngine {
         delta: &mut StatsDelta,
         footprint: &mut Option<&mut UpdateFootprint>,
     ) {
-        let Some(rev_owner) = self.owner(dst) else { return };
+        let Some(rev_owner) = self.partition_of(dst) else { return };
         if let Some(fp) = footprint.as_deref_mut() {
             fp.host_store |= rev_owner == PartitionId::Host;
         }
@@ -658,31 +627,7 @@ impl DistributedPimEngine {
         UpdateStats { timeline, requested: batch_len, applied: delta.applied }
     }
 
-    /// Deletes a batch of unlabelled ([`Label::ANY`]) edges.
-    pub fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
-    }
-
-    /// Deletes a batch of labelled edges (label-byte accounting as on the
-    /// insert path).
-    pub fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().copied(), edges.len(), None)
-    }
-
-    /// [`DistributedPimEngine::delete_labeled_edges`] plus the batch's
-    /// dependency footprint; see
-    /// [`DistributedPimEngine::insert_labeled_edges_tracked`].
-    pub fn delete_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        let mut footprint = UpdateFootprint::from_edges(edges);
-        let stats =
-            self.delete_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
-        (stats, footprint)
-    }
-
-    /// The shared delete loop; see [`DistributedPimEngine::insert_edges_impl`].
+    /// The shared delete loop; see [`MoctopusSystem::insert_edges_impl`].
     fn delete_edges_impl(
         &mut self,
         edges: impl Iterator<Item = (NodeId, NodeId, Label)>,
@@ -693,7 +638,7 @@ impl DistributedPimEngine {
 
         for (src, dst, label) in edges {
             self.policy.on_edge_delete(src, dst);
-            let Some(owner) = self.owner(src) else { continue };
+            let Some(owner) = self.partition_of(src) else { continue };
             if let Some(fp) = footprint.as_deref_mut() {
                 fp.host_store |= owner == PartitionId::Host;
             }
@@ -765,10 +710,11 @@ impl DistributedPimEngine {
     /// Source dispatch: every source that lives on a PIM module is shipped to
     /// it (the Q matrix rows of the execution plan), `entry` bytes each.
     fn charge_dispatch(&self, sources: &[NodeId], entry: u64, timeline: &mut Timeline) {
-        let bytes =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * entry;
+        let bytes = sources
+            .iter()
+            .filter(|&&s| matches!(self.partition_of(s), Some(PartitionId::Pim(_))))
+            .count() as u64
+            * entry;
         timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(bytes));
         timeline.transfers.record_cpu_to_pim(bytes, 1);
     }
@@ -799,7 +745,7 @@ impl DistributedPimEngine {
     /// module it is either forwarded to another module (IPC) or gathered to
     /// the host (CPC); from the host it is shipped to the owning module (CPC).
     fn charge_route(&self, from: PartitionId, to: NodeId, entry: u64, delta: &mut StatsDelta) {
-        match (from, self.owner(to)) {
+        match (from, self.partition_of(to)) {
             (PartitionId::Pim(m), Some(PartitionId::Pim(m2))) if m == m2 => {}
             (PartitionId::Pim(_), Some(PartitionId::Pim(_))) => {
                 delta.ipc_bytes += entry;
@@ -847,6 +793,21 @@ impl DistributedPimEngine {
         timeline.charge(Phase::Reduce, self.reduce_cost(gather_bytes, matched_pairs));
     }
 
+    /// The forward plan, shared by the plain and tracked entry points: k-hop
+    /// shapes run the k-hop loop, everything else the NFA product; `track`
+    /// collects the dependency footprint when given.
+    fn forward(
+        &mut self,
+        expr: &RpqExpr,
+        sources: &[NodeId],
+        track: Option<&mut QueryDeps>,
+    ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        match expr.as_k_hop() {
+            Some(k) => self.k_hop_batch_impl(sources, k, track),
+            None => self.nfa_product_batch_impl(&Nfa::from_expr(expr), sources, track, None),
+        }
+    }
+
     /// Answers a batch k-hop path query with full cost accounting.
     ///
     /// The hop loop is a batch-frontier engine: owner lookups are single
@@ -861,28 +822,13 @@ impl DistributedPimEngine {
     /// instruction — is identical to the naive sequential formulation at any
     /// thread count, including the order float charges accumulate in, so
     /// same-seed experiment outputs do not move.
-    pub fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.k_hop_batch_impl(sources, k, None)
-    }
-
-    /// [`DistributedPimEngine::k_hop_batch`] plus the execution's dependency
-    /// footprint: the bucket of every visited node (sources and every hop's
-    /// merged frontier) and whether the host lane expanded a row. Tracking
-    /// reads only merged, thread-count-invariant state, so the deps — like
-    /// the stats — are byte-identical at every thread count, and no simulated
-    /// charge moves.
-    pub fn k_hop_batch_tracked(
-        &mut self,
-        sources: &[NodeId],
-        k: usize,
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        let mut deps = QueryDeps::default();
-        let (results, stats) = self.k_hop_batch_impl(sources, k, Some(&mut deps));
-        (results, stats, deps)
-    }
-
-    /// The shared k-hop loop; the tracked entry point passes a deps
-    /// accumulator, the plain one passes `None` (zero work added).
+    ///
+    /// The caller passes a deps accumulator to track the execution's
+    /// dependency footprint: the bucket of every visited node (sources and
+    /// every hop's merged frontier) and whether the host lane expanded a row.
+    /// Tracking reads only merged, thread-count-invariant state, so the deps
+    /// — like the stats — are byte-identical at every thread count, and no
+    /// simulated charge moves; `None` adds zero work.
     fn k_hop_batch_impl(
         &mut self,
         sources: &[NodeId],
@@ -1008,7 +954,7 @@ impl DistributedPimEngine {
         mut visit: impl FnMut(&mut StatsDelta, PartitionId, NodeId, Label),
     ) {
         let host_resident_bytes = self.host_store.live_bytes();
-        match self.owner(v) {
+        match self.partition_of(v) {
             Some(at @ PartitionId::Host) if lane.host => {
                 let bytes = self.host_store.slot_count(v) as u64 * scan;
                 self.charge_scan(at, bytes, host_resident_bytes, delta);
@@ -1024,112 +970,6 @@ impl DistributedPimEngine {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Answers a batch of general regular path queries with full cost
-    /// accounting.
-    ///
-    /// Plain k-hop expressions (`.{k}` and concatenations of `.`) take the
-    /// [`DistributedPimEngine::k_hop_batch`] fast path, whose cost model is
-    /// untouched — same-seed experiment outputs do not move. Everything else
-    /// is evaluated as an NFA product: the generalisation of the k-hop loop to
-    /// arbitrary label automata.
-    ///
-    /// Frontier entries become `(node, nfa_state)` pairs — the product of the
-    /// data graph and the query automaton — deduplicated per query with a
-    /// *global* visited set over `state × node` (required for termination on
-    /// cyclic graphs under `*`/`+`). The per-hop structure and every charge
-    /// formula are the k-hop loop's: each entry is expanded by the computing
-    /// node owning its row, every produced entry that leaves the module is
-    /// charged to the inter-PIM or CPC bus, each hop's PIM latency is the
-    /// slowest module, and the final result is gathered and reduced on the
-    /// host. Only the widths differ: a label-constrained row scan reads the
-    /// id and label arrays (`ID_BYTES + LABEL_BYTES` per slot) and a routed
-    /// entry carries its automaton state (`ENTRY_BYTES + STATE_BYTES`).
-    ///
-    /// A node is reported for a query as soon as *some* visited product state
-    /// is accepting; if the automaton accepts the empty path the source
-    /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
-    pub fn rpq_batch(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        if let Some(k) = expr.as_k_hop() {
-            return self.k_hop_batch(sources, k);
-        }
-        let nfa = Nfa::from_expr(expr);
-        self.nfa_product_batch_impl(&nfa, sources, None, None)
-    }
-
-    /// [`DistributedPimEngine::rpq_batch`] plus the execution's dependency
-    /// footprint (see [`DistributedPimEngine::k_hop_batch_tracked`]); k-hop
-    /// shapes take the tracked fast path, everything else the tracked NFA
-    /// product.
-    pub fn rpq_batch_tracked(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        if let Some(k) = expr.as_k_hop() {
-            return self.k_hop_batch_tracked(sources, k);
-        }
-        let nfa = Nfa::from_expr(expr);
-        let mut deps = QueryDeps::default();
-        let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, Some(&mut deps), None);
-        (results, stats, deps)
-    }
-
-    /// Answers a batch RPQ by **executing** the given plan strategy — the
-    /// execution half of the `rpq::optimizer` contract.
-    ///
-    /// Served answers are byte-identical to
-    /// [`DistributedPimEngine::rpq_batch`] under every strategy
-    /// (`tests/plan_invariance.rs` and `tests/rpq_taxonomy.rs` prove it);
-    /// only the simulated cost and workload counters differ.
-    /// [`PlanStrategy::Forward`] *is* the canonical path — same code, same
-    /// charges — and k-hop shapes always take it (plan choice is about label
-    /// asymmetry, which `.{k}` does not have). The non-forward strategies run
-    /// the same parallel product loop as the forward plan, with a backward
-    /// sweep over the reverse adjacency index charged up front and the
-    /// frontier pruned to the pairs the sweep found useful:
-    ///
-    /// * [`PlanStrategy::Bidirectional`] first sweeps the reversed automaton
-    ///   backward over the in-adjacency rows to compute the *useful* product
-    ///   pairs — those from which an accepting pair is still reachable — then
-    ///   runs the forward product with its frontier restricted to useful
-    ///   pairs. Every proper prefix pair of an accepting path is useful, so
-    ///   pruning never drops an answer.
-    /// * [`PlanStrategy::RareLabelSplit`] seeds the suffix automaton at the
-    ///   pivot label's exact source set (from the reverse-maintained label
-    ///   statistics), runs the prefix automaton pruned toward those pivots,
-    ///   and joins the two halves on the host.
-    ///
-    /// A strategy that does not fit the expression (a split position with no
-    /// mandatory exact pivot) falls back to the forward path.
-    pub fn rpq_batch_planned(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-        strategy: PlanStrategy,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        match strategy {
-            PlanStrategy::Forward => self.rpq_batch(expr, sources),
-            _ if expr.as_k_hop().is_some() => self.rpq_batch(expr, sources),
-            PlanStrategy::Bidirectional => {
-                let nfa = Nfa::from_expr(expr);
-                let mut preamble = StatsDelta::new(self.config.pim.num_modules);
-                let useful = self.useful_pairs(&nfa, None, &mut preamble);
-                let leg = PlannedLeg { preamble, useful: Some(&useful), accept_nodes: None };
-                self.nfa_product_batch_impl(&nfa, sources, None, Some(leg))
-            }
-            PlanStrategy::RareLabelSplit { split_at } => {
-                let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
-                    return self.rpq_batch(expr, sources);
-                };
-                self.split_product(&prefix, &suffix, pivot, sources)
-            }
         }
     }
 
@@ -1173,7 +1013,7 @@ impl DistributedPimEngine {
     /// The in-adjacency row of `node`, read from wherever the node's forward
     /// row lives (the colocation invariant).
     fn rev_row_of(&self, node: NodeId) -> &[(NodeId, Label)] {
-        match self.owner(node) {
+        match self.partition_of(node) {
             Some(PartitionId::Host) => self.host_store.rev_row(node).unwrap_or(&[]),
             Some(PartitionId::Pim(m)) => self.local_stores[m as usize].rev_row(node).unwrap_or(&[]),
             None => &[],
@@ -1184,7 +1024,7 @@ impl DistributedPimEngine {
     /// (id + label arrays, like the forward label-constrained scans; the
     /// host's working set includes its reverse rows).
     fn charge_rev_scan(&self, node: NodeId, delta: &mut StatsDelta) {
-        if let Some(at) = self.owner(node) {
+        if let Some(at) = self.partition_of(node) {
             let bytes = self.rev_row_of(node).len() as u64 * PRODUCT_WIDTHS.scan;
             let resident = self.host_store.live_bytes() + self.host_store.rev_bytes();
             self.charge_scan(at, bytes, resident, delta);
@@ -1475,7 +1315,7 @@ impl DistributedPimEngine {
     }
 
     /// One worker's share of an NFA-product execute stage (the labelled
-    /// generalisation of [`DistributedPimEngine::khop_hop_worker`]).
+    /// generalisation of [`MoctopusSystem::khop_hop_worker`]).
     ///
     /// Same ownership discipline: the worker walks every query's frontier in
     /// global order, expands only product entries whose node row lives on its
@@ -1606,9 +1446,224 @@ impl DistributedPimEngine {
         PartitionMetrics::compute(&self.graph_view(), self.policy.assignment())
     }
 
-    // ------------------------------------------------------------------
-    // Durable snapshots
-    // ------------------------------------------------------------------
+    /// Deterministically reconstructs the in-adjacency secondary index (and
+    /// its reverse label statistics) from freshly restored forward rows:
+    /// every stored edge's reverse entry is routed to the destination row's
+    /// owner under the restored assignment — exactly where incremental
+    /// maintenance would have put it. Snapshots never carry reverse rows
+    /// (see STORAGE.md): the stores keep them sorted on insert and every
+    /// edge lives in exactly one forward store, so the rebuilt index is
+    /// independent of the iteration order used here.
+    fn rebuild_rev_rows(&mut self) {
+        let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
+        for store in &self.local_stores {
+            for (src, row) in store.iter() {
+                for &(dst, label) in row {
+                    edges.push((src, dst, label));
+                }
+            }
+        }
+        for (src, row) in self.host_store.iter() {
+            for (dst, label) in row {
+                edges.push((src, dst, label));
+            }
+        }
+        for (src, dst, label) in edges {
+            match self.partition_of(dst) {
+                Some(PartitionId::Host) => {
+                    let _ = self.host_store.insert_rev_edge(dst, src, label);
+                }
+                Some(PartitionId::Pim(m)) => {
+                    let _ = self.local_stores[m as usize].insert_rev_edge(dst, src, label);
+                }
+                None => {}
+            }
+        }
+    }
+}
+
+impl GraphEngine for MoctopusSystem {
+    /// `"Moctopus"` under greedy-adaptive placement, `"PIM-hash"` under
+    /// consistent hashing.
+    fn name(&self) -> &'static str {
+        match self.policy {
+            PlacementPolicy::GreedyAdaptive(_) => "Moctopus",
+            PlacementPolicy::Hash(_) => "PIM-hash",
+        }
+    }
+
+    /// Inserts a batch of unlabelled edges (they receive [`Label::ANY`]),
+    /// routing each one to the computing node that owns the source row and
+    /// charging the work to the cost model.
+    fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
+        self.insert_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
+    }
+
+    /// Inserts a batch of labelled edges. The default label travels for free
+    /// (it is elided on the wire); every other label is charged
+    /// `LABEL_BYTES` on the CPU→PIM bus and in the MRAM write.
+    fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+        self.insert_edges_impl(edges.iter().copied(), edges.len(), None)
+    }
+
+    /// [`GraphEngine::insert_labeled_edges`] plus the batch's
+    /// dependency footprint — the cache hook of the insert path.
+    ///
+    /// The footprint is the batch-derived base
+    /// ([`UpdateFootprint::from_edges`]: per-label source buckets, structural
+    /// source+destination buckets) with `host_store` set by the loop itself
+    /// whenever a host-resident row was written or a promotion installed one
+    /// (only the engine can observe those).
+    fn insert_labeled_edges_tracked(
+        &mut self,
+        edges: &[(NodeId, NodeId, Label)],
+    ) -> (UpdateStats, UpdateFootprint) {
+        let mut footprint = UpdateFootprint::from_edges(edges);
+        let stats =
+            self.insert_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
+        (stats, footprint)
+    }
+
+    /// Deletes a batch of unlabelled ([`Label::ANY`]) edges.
+    fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
+        self.delete_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
+    }
+
+    /// Deletes a batch of labelled edges (label-byte accounting as on the
+    /// insert path).
+    fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+        self.delete_edges_impl(edges.iter().copied(), edges.len(), None)
+    }
+
+    /// [`GraphEngine::delete_labeled_edges`] plus the batch's dependency
+    /// footprint, built as on the insert path.
+    fn delete_labeled_edges_tracked(
+        &mut self,
+        edges: &[(NodeId, NodeId, Label)],
+    ) -> (UpdateStats, UpdateFootprint) {
+        let mut footprint = UpdateFootprint::from_edges(edges);
+        let stats =
+            self.delete_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
+        (stats, footprint)
+    }
+
+    /// Answers a batch of general regular path queries with full cost
+    /// accounting.
+    ///
+    /// Plain k-hop expressions (`.{k}` and concatenations of `.`) take the
+    /// k-hop loop, which is also what [`GraphEngine::k_hop_batch`] reaches,
+    /// so its cost model is untouched — same-seed experiment outputs do not
+    /// move. Everything else
+    /// is evaluated as an NFA product: the generalisation of the k-hop loop to
+    /// arbitrary label automata.
+    ///
+    /// Frontier entries become `(node, nfa_state)` pairs — the product of the
+    /// data graph and the query automaton — deduplicated per query with a
+    /// *global* visited set over `state × node` (required for termination on
+    /// cyclic graphs under `*`/`+`). The per-hop structure and every charge
+    /// formula are the k-hop loop's: each entry is expanded by the computing
+    /// node owning its row, every produced entry that leaves the module is
+    /// charged to the inter-PIM or CPC bus, each hop's PIM latency is the
+    /// slowest module, and the final result is gathered and reduced on the
+    /// host. Only the widths differ: a label-constrained row scan reads the
+    /// id and label arrays (`ID_BYTES + LABEL_BYTES` per slot) and a routed
+    /// entry carries its automaton state (`ENTRY_BYTES + STATE_BYTES`).
+    ///
+    /// A node is reported for a query as soon as *some* visited product state
+    /// is accepting; if the automaton accepts the empty path the source
+    /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
+    fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
+        self.forward(expr, sources, None)
+    }
+
+    /// [`GraphEngine::rpq_batch`] plus the execution's dependency footprint:
+    /// the bucket of every visited node and whether the host lane expanded a
+    /// row, read from merged state only, so the deps are byte-identical at
+    /// every thread count and no simulated charge moves.
+    fn rpq_batch_tracked(
+        &mut self,
+        expr: &RpqExpr,
+        sources: &[NodeId],
+    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
+        let mut deps = QueryDeps::default();
+        let (results, stats) = self.forward(expr, sources, Some(&mut deps));
+        (results, stats, deps)
+    }
+
+    /// Answers a batch RPQ by **executing** the given plan strategy — the
+    /// execution half of the `rpq::optimizer` contract.
+    ///
+    /// Served answers are byte-identical to
+    /// [`GraphEngine::rpq_batch`] under every strategy
+    /// (`tests/plan_invariance.rs` and `tests/rpq_taxonomy.rs` prove it);
+    /// only the simulated cost and workload counters differ.
+    /// [`PlanStrategy::Forward`] *is* the canonical path — same code, same
+    /// charges — and k-hop shapes always take it (plan choice is about label
+    /// asymmetry, which `.{k}` does not have). The non-forward strategies run
+    /// the same parallel product loop as the forward plan, with a backward
+    /// sweep over the reverse adjacency index charged up front and the
+    /// frontier pruned to the pairs the sweep found useful:
+    ///
+    /// * [`PlanStrategy::Bidirectional`] first sweeps the reversed automaton
+    ///   backward over the in-adjacency rows to compute the *useful* product
+    ///   pairs — those from which an accepting pair is still reachable — then
+    ///   runs the forward product with its frontier restricted to useful
+    ///   pairs. Every proper prefix pair of an accepting path is useful, so
+    ///   pruning never drops an answer.
+    /// * [`PlanStrategy::RareLabelSplit`] seeds the suffix automaton at the
+    ///   pivot label's exact source set (from the reverse-maintained label
+    ///   statistics), runs the prefix automaton pruned toward those pivots,
+    ///   and joins the two halves on the host.
+    ///
+    /// A strategy that does not fit the expression (a split position with no
+    /// mandatory exact pivot) falls back to the forward path.
+    fn rpq_batch_planned(
+        &mut self,
+        expr: &RpqExpr,
+        sources: &[NodeId],
+        strategy: PlanStrategy,
+    ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        match strategy {
+            PlanStrategy::Forward => self.rpq_batch(expr, sources),
+            _ if expr.as_k_hop().is_some() => self.rpq_batch(expr, sources),
+            PlanStrategy::Bidirectional => {
+                let nfa = Nfa::from_expr(expr);
+                let mut preamble = StatsDelta::new(self.config.pim.num_modules);
+                let useful = self.useful_pairs(&nfa, None, &mut preamble);
+                let leg = PlannedLeg { preamble, useful: Some(&useful), accept_nodes: None };
+                self.nfa_product_batch_impl(&nfa, sources, None, Some(leg))
+            }
+            PlanStrategy::RareLabelSplit { split_at } => {
+                let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
+                    return self.rpq_batch(expr, sources);
+                };
+                self.split_product(&prefix, &suffix, pivot, sources)
+            }
+        }
+    }
+
+    /// Number of directed edges stored across all computing nodes.
+    fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// Reconfigures the execution runtime to `threads` host worker threads
+    /// (`0` = available parallelism).
+    ///
+    /// This only changes how much wall-clock parallelism the *simulator*
+    /// uses; simulated results, `SimTime`, and transfer tallies are
+    /// byte-identical at every thread count. The engine's
+    /// [`config`](MoctopusSystem::config) follows, so sibling engines
+    /// built from a clone of it inherit the new thread count.
+    fn set_threads(&mut self, threads: usize) {
+        self.config.threads = threads;
+        self.pool = WorkerPool::new(threads);
+    }
+
+    /// Host worker threads the execution runtime is configured for.
+    fn threads(&self) -> usize {
+        self.pool.threads()
+    }
 
     /// Exports the engine's complete storage plane as a canonical
     /// [`SnapshotState`].
@@ -1620,9 +1675,9 @@ impl DistributedPimEngine {
     /// and — under the greedy-adaptive policy — the degree table and
     /// promotion log. Accumulated simulator busy time is deliberately *not*
     /// part of the image: it only feeds the cosmetic
-    /// [`DistributedPimEngine::load_imbalance`] metric, never a future result
+    /// [`MoctopusSystem::load_imbalance`] metric, never a future result
     /// or charge.
-    pub fn export_storage(&self) -> SnapshotState {
+    fn export_snapshot(&self) -> Option<SnapshotState> {
         let local_modules = self
             .local_stores
             .iter()
@@ -1643,7 +1698,7 @@ impl DistributedPimEngine {
             }
             PlacementPolicy::Hash(_) => (Vec::new(), Vec::new()),
         };
-        SnapshotState {
+        Some(SnapshotState {
             last_seq: 0,
             edge_count: self.edge_count as u64,
             local_modules,
@@ -1653,7 +1708,7 @@ impl DistributedPimEngine {
             promotions,
             adjacency_rows: Vec::new(),
             adjacency_id_bound: 0,
-        }
+        })
     }
 
     /// Replaces the engine's storage plane with a previously exported image.
@@ -1662,7 +1717,7 @@ impl DistributedPimEngine {
     /// written under a different PIM module count (its per-module section
     /// cannot map onto this configuration). The placement policy *kind* is
     /// taken from the live engine; only its state is replaced.
-    pub fn restore_storage(&mut self, snapshot: &SnapshotState) -> bool {
+    fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
         if snapshot.local_modules.len() != self.config.pim.num_modules {
             return false;
         }
@@ -1695,60 +1750,53 @@ impl DistributedPimEngine {
         true
     }
 
-    /// Deterministically reconstructs the in-adjacency secondary index (and
-    /// its reverse label statistics) from freshly restored forward rows:
-    /// every stored edge's reverse entry is routed to the destination row's
-    /// owner under the restored assignment — exactly where incremental
-    /// maintenance would have put it. Snapshots never carry reverse rows
-    /// (see STORAGE.md): the stores keep them sorted on insert and every
-    /// edge lives in exactly one forward store, so the rebuilt index is
-    /// independent of the iteration order used here.
-    fn rebuild_rev_rows(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
+    /// Merged per-label statistics across the whole storage plane: every
+    /// PIM module's local store (in module-id order) plus the host store.
+    ///
+    /// Each store maintains its table incrementally on its own mutation
+    /// paths (including row promotion/migration), so this is a pure merge —
+    /// no row is rescanned. The merge order is fixed, and
+    /// [`LabelStatsSnapshot::merge`] is commutative summation, so the result
+    /// is deterministic regardless of thread count.
+    fn label_stats(&self) -> LabelStatsSnapshot {
+        let mut merged = LabelStatsSnapshot::default();
         for store in &self.local_stores {
-            for (src, row) in store.iter() {
-                for &(dst, label) in row {
-                    edges.push((src, dst, label));
-                }
-            }
+            merged.merge(&store.label_stats().snapshot());
         }
-        for (src, row) in self.host_store.iter() {
-            for (dst, label) in row {
-                edges.push((src, dst, label));
-            }
+        merged.merge(&self.host_store.label_stats().snapshot());
+        merged
+    }
+
+    /// The in-adjacency secondary index flattened to canonical reverse rows
+    /// (nodes ascending, entries sorted), merged across every store.
+    ///
+    /// Every node's reverse row lives in exactly one store (it is colocated
+    /// with the node's forward row), so concatenation plus a sort by node id
+    /// is a faithful global view. Diagnostic surface: the differential tests
+    /// use it to prove incremental maintenance, migration, and post-restore
+    /// reconstruction all land on the same bits.
+    fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
+        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> = Vec::new();
+        for store in &self.local_stores {
+            rows.extend(store.export_rev_rows());
         }
-        for (src, dst, label) in edges {
-            match self.owner(dst) {
-                Some(PartitionId::Host) => {
-                    let _ = self.host_store.insert_rev_edge(dst, src, label);
-                }
-                Some(PartitionId::Pim(m)) => {
-                    let _ = self.local_stores[m as usize].insert_rev_edge(dst, src, label);
-                }
-                None => {}
-            }
-        }
+        rows.extend(self.host_store.export_rev_rows());
+        rows.sort_by_key(|&(n, _)| n);
+        rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph_partition::GreedyAdaptivePartitioner;
     use pim_sim::SimTime;
 
-    fn moctopus_engine() -> DistributedPimEngine {
-        let cfg = MoctopusConfig::small_test();
-        let policy = PlacementPolicy::GreedyAdaptive(GreedyAdaptivePartitioner::with_config(
-            cfg.partitioner_config(),
-        ));
-        DistributedPimEngine::new(cfg, policy)
+    fn moctopus_engine() -> MoctopusSystem {
+        MoctopusSystem::new(MoctopusConfig::small_test())
     }
 
-    fn hash_engine() -> DistributedPimEngine {
-        let cfg = MoctopusConfig::small_test();
-        let policy = PlacementPolicy::Hash(HashPartitioner::new(cfg.pim.num_modules));
-        DistributedPimEngine::new(cfg, policy)
+    fn hash_engine() -> MoctopusSystem {
+        MoctopusSystem::pim_hash(MoctopusConfig::small_test())
     }
 
     fn ring_edges(n: u64) -> Vec<(NodeId, NodeId)> {
@@ -1818,7 +1866,7 @@ mod tests {
     /// over-approximation band).
     #[test]
     fn label_stats_stay_incremental_across_promotion_and_migration() {
-        let check = |e: &DistributedPimEngine, phase: &str| {
+        let check = |e: &MoctopusSystem, phase: &str| {
             let got = e.label_stats();
             assert_eq!(got.total_edges as usize, e.edge_count(), "{phase}: total_edges drifted");
             let want = e.graph_view().label_stats().snapshot();
@@ -1864,7 +1912,7 @@ mod tests {
             } else {
                 moctopus_engine()
             };
-            assert!(twin.restore_storage(&e.export_storage()));
+            assert!(twin.restore_snapshot(&e.export_snapshot().unwrap()));
             assert_eq!(twin.label_stats(), e.label_stats(), "restored stats must be identical");
         }
         // The greedy engine really promoted the hub (the host-lane stats
@@ -2083,17 +2131,9 @@ mod tests {
         // Pin the baseline to one worker explicitly: `small_test()` honours
         // MOCTOPUS_THREADS, and the CI 4-thread leg must still compare the
         // parallel engine against the true sequential path.
-        let serial_cfg = MoctopusConfig::small_test().with_threads(1);
-        let serial_policy = PlacementPolicy::GreedyAdaptive(
-            GreedyAdaptivePartitioner::with_config(serial_cfg.partitioner_config()),
-        );
-        let mut serial = DistributedPimEngine::new(serial_cfg, serial_policy);
+        let mut serial = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
         assert_eq!(serial.threads(), 1);
-        let cfg = MoctopusConfig::small_test().with_threads(3);
-        let policy = PlacementPolicy::GreedyAdaptive(GreedyAdaptivePartitioner::with_config(
-            cfg.partitioner_config(),
-        ));
-        let mut parallel = DistributedPimEngine::new(cfg, policy);
+        let mut parallel = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(3));
         assert_eq!(parallel.threads(), 3);
 
         let serial_ins = serial.insert_labeled_edges(&edges);
@@ -2244,7 +2284,7 @@ mod tests {
             } else {
                 moctopus_engine()
             };
-            assert!(twin.restore_storage(&e.export_storage()));
+            assert!(twin.restore_snapshot(&e.export_snapshot().unwrap()));
 
             for q in queries {
                 let expr = rpq::parser::parse(q).expect("query parses");
@@ -2308,5 +2348,119 @@ mod tests {
             bidi_stats.latency(),
             fwd_stats.latency()
         );
+    }
+
+    // Constructor-level behaviour of the two placements.
+
+    #[test]
+    fn from_edge_stream_builds_and_refines() {
+        let graph = graph_gen::uniform::generate(400, 3.0, 5);
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let system = moctopus_engine().with_edge_stream(&edges);
+        assert_eq!(system.edge_count(), edges.len());
+        let metrics = system.partition_metrics();
+        assert!(metrics.load_balance_factor < 2.0);
+    }
+
+    #[test]
+    fn hubs_are_reported_on_the_host() {
+        let cfg = graph_gen::powerlaw::PowerLawConfig {
+            nodes: 1000,
+            high_degree_fraction: 0.05,
+            ..Default::default()
+        };
+        let graph = graph_gen::powerlaw::generate(&cfg, 2);
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let system = moctopus_engine().with_edge_stream(&edges);
+        assert!(system.host_row_count() > 0);
+        let metrics = system.partition_metrics();
+        assert!(metrics.host_node_fraction > 0.0);
+    }
+
+    #[test]
+    fn query_results_match_the_reference_evaluator() {
+        let graph = graph_gen::uniform::generate(300, 4.0, 9);
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let mut system = moctopus_engine().with_edge_stream(&edges);
+        let reference = rpq::ReferenceEvaluator::new(&graph);
+        let sources: Vec<NodeId> = (0..16u64).map(NodeId).collect();
+        for k in 1..=3usize {
+            let (got, _) = system.k_hop_batch(&sources, k);
+            let want = reference.k_hop(&sources, k);
+            for (g, w) in got.iter().zip(want.iter()) {
+                let w: Vec<NodeId> = w.iter().copied().collect();
+                assert_eq!(g, &w, "mismatch at k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn load_imbalance_starts_at_one() {
+        let system = moctopus_engine();
+        assert_eq!(system.load_imbalance(), 1.0);
+        assert_eq!(system.config().pim.num_modules, 8);
+    }
+
+    #[test]
+    fn hash_placement_never_uses_the_host() {
+        let graph = graph_gen::powerlaw::generate(
+            &graph_gen::powerlaw::PowerLawConfig {
+                nodes: 800,
+                high_degree_fraction: 0.05,
+                ..Default::default()
+            },
+            4,
+        );
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let system = hash_engine().with_edge_stream(&edges);
+        let metrics = system.partition_metrics();
+        assert_eq!(metrics.host_node_fraction, 0.0);
+        assert_eq!(metrics.to_host_edges, 0);
+    }
+
+    #[test]
+    fn skewed_graphs_imbalance_hash_more_than_moctopus() {
+        // The Figure 4 "highly skewed graphs" effect: with hash placement a
+        // hub's expansions all land on one module, making it the straggler.
+        let cfg = graph_gen::powerlaw::PowerLawConfig {
+            nodes: 1500,
+            high_degree_fraction: 0.04,
+            mean_high_degree: 128.0,
+            ..Default::default()
+        };
+        let graph = graph_gen::powerlaw::generate(&cfg, 8);
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let sources: Vec<NodeId> = (0..512u64).map(NodeId).collect();
+
+        let mut hash = hash_engine().with_edge_stream(&edges);
+        let mut moc = moctopus_engine().with_edge_stream(&edges);
+        let (_, _) = hash.k_hop_batch(&sources, 2);
+        let (_, _) = moc.k_hop_batch(&sources, 2);
+        assert!(
+            hash.load_imbalance() > moc.load_imbalance(),
+            "hash imbalance {} should exceed moctopus {}",
+            hash.load_imbalance(),
+            moc.load_imbalance()
+        );
+    }
+
+    #[test]
+    fn results_match_moctopus() {
+        let graph = graph_gen::road::generate(400, 0.1, 3);
+        let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+        let mut hash = hash_engine().with_edge_stream(&edges);
+        let mut moc = moctopus_engine().with_edge_stream(&edges);
+        let sources: Vec<NodeId> = (0..32u64).map(NodeId).collect();
+        let (a, _) = hash.k_hop_batch(&sources, 4);
+        let (b, _) = moc.k_hop_batch(&sources, 4);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn hubs_stay_on_pim_modules() {
+        let mut system = hash_engine();
+        let edges: Vec<(NodeId, NodeId)> = (1..=30u64).map(|i| (NodeId(0), NodeId(i))).collect();
+        system.insert_edges(&edges);
+        assert!(matches!(system.partition_of(NodeId(0)), Some(PartitionId::Pim(_))));
     }
 }

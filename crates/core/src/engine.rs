@@ -9,9 +9,8 @@ use rpq::{PlanStrategy, RpqExpr};
 /// batch path queries — from the paper's k-hop workhorse to general regular
 /// path queries — reporting simulated costs for each operation.
 ///
-/// [`MoctopusSystem`](crate::MoctopusSystem),
-/// [`PimHashSystem`](crate::PimHashSystem) and
-/// [`HostBaseline`](crate::HostBaseline) all implement this trait so the
+/// [`MoctopusSystem`](crate::MoctopusSystem) (under either placement) and
+/// [`HostBaseline`](crate::HostBaseline) implement this trait so the
 /// benchmark harness can sweep the three systems uniformly, exactly as the
 /// paper's figures do.
 pub trait GraphEngine {
@@ -48,15 +47,24 @@ pub trait GraphEngine {
     /// Answers a batch k-hop path query: for every start node, the set of
     /// nodes reachable by a path of exactly `k` edges (boolean semantics,
     /// any label), sorted ascending. Also returns the simulated query costs.
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats);
+    ///
+    /// Provided: `.{k}` is the k-hop normal form
+    /// (`RpqExpr::k_hop(k).as_k_hop() == Some(k)` for every `k`), and every
+    /// [`GraphEngine::rpq_batch`] sends k-hop shapes to its k-hop path, so
+    /// this is exactly the engine's k-hop execution, charges included.
+    /// Engines do not override it; only the forwarding `Box<T>` impl does,
+    /// so a boxed engine reaches the inner engine's own method.
+    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
+        self.rpq_batch(&RpqExpr::k_hop(k), sources)
+    }
 
     /// Answers a batch regular path query: for every start node, the sorted
     /// set of nodes reachable by a path whose label sequence matches `expr`.
     ///
     /// Results must agree with [`rpq::ReferenceEvaluator::evaluate`]; plain
-    /// k-hop shapes (`.{k}`) must take the same execution path — and charge
-    /// the same simulated costs — as
-    /// [`GraphEngine::k_hop_batch`].
+    /// k-hop shapes (`.{k}`, see [`RpqExpr::as_k_hop`]) must take the
+    /// engine's k-hop path, which is what [`GraphEngine::k_hop_batch`]
+    /// reaches.
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats);
 
     /// [`GraphEngine::rpq_batch`] executed under an explicit plan strategy —
@@ -102,11 +110,11 @@ pub trait GraphEngine {
     ///
     /// The default implementation returns [`QueryDeps::all`] ("touched
     /// everything"), which is always sound: a cache built on it simply
-    /// invalidates such entries on every update. The in-tree PIM engines
-    /// override it with precise tracking; the host baseline keeps the
-    /// default because its simulated cost already couples to the whole
-    /// graph's resident bytes (see
-    /// [`UpdateFootprint::cost_global`]).
+    /// invalidates such entries on every update. The PIM engine
+    /// ([`MoctopusSystem`](crate::MoctopusSystem)) overrides it with
+    /// precise tracking; the host baseline keeps the default because its
+    /// simulated cost already couples to the whole graph's resident bytes
+    /// (see [`UpdateFootprint::cost_global`]).
     fn rpq_batch_tracked(
         &mut self,
         expr: &RpqExpr,
@@ -304,14 +312,14 @@ impl<T: GraphEngine + ?Sized> GraphEngine for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+    use crate::{HostBaseline, MoctopusConfig, MoctopusSystem};
 
     /// The trait must stay object-safe so harnesses can hold `Box<dyn GraphEngine>`.
     #[test]
     fn engines_are_usable_as_trait_objects() {
         let engines: Vec<Box<dyn GraphEngine>> = vec![
             Box::new(MoctopusSystem::new(MoctopusConfig::small_test())),
-            Box::new(PimHashSystem::new(MoctopusConfig::small_test())),
+            Box::new(MoctopusSystem::pim_hash(MoctopusConfig::small_test())),
             Box::new(HostBaseline::new(MoctopusConfig::small_test())),
         ];
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
@@ -322,7 +330,7 @@ mod tests {
     fn empty_engines_report_zero_edges() {
         let engines: Vec<Box<dyn GraphEngine>> = vec![
             Box::new(MoctopusSystem::new(MoctopusConfig::small_test())),
-            Box::new(PimHashSystem::new(MoctopusConfig::small_test())),
+            Box::new(MoctopusSystem::pim_hash(MoctopusConfig::small_test())),
             Box::new(HostBaseline::new(MoctopusConfig::small_test())),
         ];
         for e in &engines {

@@ -251,46 +251,28 @@ impl GraphEngine for HostBaseline {
         self.delete_edges_impl(edges.iter().copied(), edges.len())
     }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.refresh_matrix();
-        let plan = ExecutionPlan::k_hop(k);
-        let (results, exec) = self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk));
-        let timeline = self.charge_query(&exec);
-
-        let matched_pairs = results.iter().map(Vec::len).sum();
-        let stats = QueryStats {
-            timeline,
-            batch_size: sources.len(),
-            hops: k,
-            matched_pairs,
-            expansions: exec.row_fetches as usize,
-        };
-        (results, stats)
-    }
-
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
-        // Plain k-hop shapes take the exact same path (and charges) as
-        // `k_hop_batch`.
-        if let Some(k) = expr.as_k_hop() {
-            return self.k_hop_batch(sources, k);
-        }
         self.refresh_matrix();
-        // Fixed-length expressions stay matrix chains (`Q × A_l1 × … × A_lk`);
-        // everything else sweeps the automaton over the per-label matrices.
-        let (results, exec) = match ExecutionPlan::from_expr(expr) {
-            Some(plan) => self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)),
-            None => {
-                let nfa = Nfa::from_expr(expr);
-                self.run_chunked(sources, |chunk| self.matrix.run_nfa(&nfa, chunk))
-            }
-        };
+        // Plain k-hop shapes run the unlabelled k-hop matrix chain and report
+        // `k` hops; other fixed-length expressions stay per-label matrix
+        // chains (`Q × A_l1 × … × A_lk`); everything else sweeps the
+        // automaton over the per-label matrices.
+        let k_hop = expr.as_k_hop();
+        let (results, exec) =
+            match k_hop.map(ExecutionPlan::k_hop).or_else(|| ExecutionPlan::from_expr(expr)) {
+                Some(plan) => self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)),
+                None => {
+                    let nfa = Nfa::from_expr(expr);
+                    self.run_chunked(sources, |chunk| self.matrix.run_nfa(&nfa, chunk))
+                }
+            };
         let timeline = self.charge_query(&exec);
 
         let matched_pairs = results.iter().map(Vec::len).sum();
         let stats = QueryStats {
             timeline,
             batch_size: sources.len(),
-            hops: exec.frontier_levels,
+            hops: k_hop.unwrap_or(exec.frontier_levels),
             matched_pairs,
             expansions: exec.row_fetches as usize,
         };
@@ -443,7 +425,7 @@ mod tests {
         let graph = graph_gen::road::generate(300, 0.1, 2);
         let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
         let mut baseline = HostBaseline::from_edge_stream(MoctopusConfig::small_test(), &edges);
-        let mut moc = MoctopusSystem::from_edge_stream(MoctopusConfig::small_test(), &edges);
+        let mut moc = MoctopusSystem::new(MoctopusConfig::small_test()).with_edge_stream(&edges);
         let sources: Vec<NodeId> = (0..32u64).map(NodeId).collect();
         let (a, _) = baseline.k_hop_batch(&sources, 3);
         let (b, _) = moc.k_hop_batch(&sources, 3);

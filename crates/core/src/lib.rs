@@ -2,22 +2,23 @@
 //! graph databases — reproduction of the DAC 2024 paper.
 //!
 //! The crate assembles the workspace's substrates into the three systems the
-//! paper evaluates:
+//! paper evaluates, built by two engine types:
 //!
-//! * [`MoctopusSystem`] — the paper's contribution: the query processor
+//! * [`MoctopusSystem::new`] — the paper's contribution: the query processor
 //!   dispatches matrix-based operators to simulated PIM modules, the
 //!   PIM-friendly greedy-adaptive partitioner with labor division places
 //!   low-degree rows on PIM modules and high-degree rows on the host, the node
 //!   migrator promotes hubs and repairs incorrectly partitioned nodes, and the
 //!   heterogeneous graph storage amortises host-side update cost to the PIM
 //!   side.
-//! * [`PimHashSystem`] — the contrast system: the identical PIM execution
-//!   engine but hash partitioning and no labor division.
+//! * [`MoctopusSystem::pim_hash`] — the contrast system: the same
+//!   [`MoctopusSystem`] engine, placed by consistent hashing with no labor
+//!   division. Placement is the only difference between the two.
 //! * [`HostBaseline`] — the RedisGraph-like baseline: GraphBLAS-style sparse
 //!   matrix execution on a single dedicated host core.
 //!
-//! All three implement the [`GraphEngine`] trait so experiments can sweep over
-//! them uniformly, and all three charge their work to the same
+//! Both types implement the [`GraphEngine`] trait so experiments can sweep
+//! the three systems uniformly, and all three charge their work to the same
 //! [`pim_sim`] cost model, which reports a per-phase [`pim_sim::Timeline`]
 //! (host compute, PIM compute, CPC, IPC, reduction) as the paper does.
 //!
@@ -38,6 +39,10 @@
 //! assert_eq!(results[0], vec![NodeId(2)]);
 //! assert_eq!(results[1], vec![NodeId(7)]);
 //! assert!(stats.timeline.total().as_nanos() > 0.0);
+//!
+//! // The PIM-hash contrast system is the same engine with hash placement.
+//! let mut pim_hash = MoctopusSystem::pim_hash(MoctopusConfig::small_test()).with_edge_stream(&edges);
+//! assert_eq!(pim_hash.k_hop_batch(&[NodeId(0), NodeId(5)], 2).0, results);
 //! ```
 
 pub mod config;
@@ -45,17 +50,14 @@ pub mod deps;
 pub mod distributed;
 pub mod engine;
 pub mod host_baseline;
-pub mod pim_hash;
 pub mod stats;
-pub mod system;
 
 pub use config::MoctopusConfig;
 pub use deps::{dep_bucket, DepMask, QueryDeps, UpdateFootprint};
+pub use distributed::MoctopusSystem;
 pub use engine::GraphEngine;
 pub use host_baseline::HostBaseline;
-pub use pim_hash::PimHashSystem;
 pub use stats::{QueryStats, StatsDelta, UpdateStats};
-pub use system::MoctopusSystem;
 
 pub use graph_store::{Label, NodeId, PartitionId};
 pub use pim_sim::{Phase, SimTime, Timeline};

@@ -305,7 +305,9 @@ impl SnapshotState {
 
     /// Parses a full snapshot file image, verifying header and checksum.
     pub fn decode_file(bytes: &[u8]) -> Result<SnapshotState, (u64, String)> {
-        if bytes.len() < 16 {
+        // The smallest valid file is the 16-byte header plus the 4-byte CRC
+        // of an empty payload; anything shorter has no checksum to read.
+        if bytes.len() < 20 {
             return Err((0, format!("file too short: {} bytes", bytes.len())));
         }
         if bytes[0..4] != SNAPSHOT_MAGIC {
@@ -316,7 +318,7 @@ impl SnapshotState {
             return Err((4, format!("unsupported version {version}")));
         }
         let payload_len = u64_at(bytes, 8);
-        if payload_len != (bytes.len() as u64).saturating_sub(20) {
+        if payload_len != bytes.len() as u64 - 20 {
             return Err((8, format!("payload length {payload_len} vs file {}", bytes.len())));
         }
         let payload = &bytes[16..16 + payload_len as usize];
@@ -419,6 +421,21 @@ mod tests {
         let clean = sample().encode_file();
         for cut in 0..clean.len() {
             assert!(SnapshotState::decode_file(&clean[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// A header that claims an empty payload but stops short of the 4-byte
+    /// CRC must be an error, not an out-of-bounds read.
+    #[test]
+    fn header_valid_files_too_short_for_the_crc_are_rejected() {
+        for len in 16..20usize {
+            let mut file = Vec::new();
+            file.extend_from_slice(&SNAPSHOT_MAGIC);
+            put_u32(&mut file, SNAPSHOT_VERSION);
+            put_u64(&mut file, 0); // payload length
+            file.resize(len, 0);
+            let err = SnapshotState::decode_file(&file).unwrap_err();
+            assert!(err.1.contains("too short"), "{len} bytes: {err:?}");
         }
     }
 

@@ -233,7 +233,10 @@ mod tests {
 
     #[test]
     fn k_hop_shape_is_recognised() {
-        assert_eq!(RpqExpr::k_hop(3).as_k_hop(), Some(3));
+        // `GraphEngine::k_hop_batch` relies on this round trip for every k.
+        for k in 0..=64 {
+            assert_eq!(RpqExpr::k_hop(k).as_k_hop(), Some(k));
+        }
         assert_eq!(RpqExpr::any().as_k_hop(), Some(1));
         let chain = RpqExpr::concat(vec![RpqExpr::any(), RpqExpr::k_hop(2)]);
         assert_eq!(chain.as_k_hop(), Some(3));

@@ -248,10 +248,6 @@ impl GraphEngine for DurableEngine {
         out
     }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.k_hop_batch(sources, k)
-    }
-
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.engine.rpq_batch(expr, sources)
     }

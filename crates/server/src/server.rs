@@ -797,11 +797,6 @@ mod tests {
             self.update(out, |(s, _)| *s)
         }
 
-        fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-            let out = self.inner.k_hop_batch(sources, k);
-            self.query(out, |(_, s)| *s)
-        }
-
         fn rpq_batch(
             &mut self,
             expr: &RpqExpr,

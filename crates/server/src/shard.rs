@@ -378,10 +378,6 @@ impl GraphEngine for ShardedEngine {
         (stats, footprint)
     }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.query_scattered(sources, |engine, chunk| engine.k_hop_batch(chunk, k))
-    }
-
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.query_scattered(sources, |engine, chunk| engine.rpq_batch(expr, chunk))
     }

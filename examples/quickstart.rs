@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Load the simplified adjacency view into Moctopus (8 PIM modules).
     let adjacency = property_graph.to_adjacency();
     let edges: Vec<(NodeId, NodeId)> = adjacency.edges().map(|(s, d, _)| (s, d)).collect();
-    let mut moctopus = MoctopusSystem::from_edge_stream(MoctopusConfig::small_test(), &edges);
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test()).with_edge_stream(&edges);
 
     // 3. Resolve the query's start nodes by property lookup, then run the
     //    batch 2-hop path query.

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example routing_reachability`
 
 use graph_store::NodeId;
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let config = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(config, &edges);
-    let mut pim_hash = PimHashSystem::from_edge_stream(config, &edges);
+    let mut moctopus = MoctopusSystem::new(config).with_edge_stream(&edges);
+    let mut pim_hash = MoctopusSystem::pim_hash(config).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(config, &edges);
 
     println!(

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example social_recommendation`
 
 use graph_store::NodeId;
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use rpq::{parser, ReferenceEvaluator};
 use std::error::Error;
 
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
     let config = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(config, &edges);
-    let mut pim_hash = PimHashSystem::from_edge_stream(config, &edges);
+    let mut moctopus = MoctopusSystem::new(config).with_edge_stream(&edges);
+    let mut pim_hash = MoctopusSystem::pim_hash(config).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(config, &edges);
 
     println!(

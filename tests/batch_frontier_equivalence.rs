@@ -10,10 +10,9 @@
 //! the logical graph and the owner directory alone, so any divergence in the
 //! engine's cost accounting (bytes *or* float charge order) fails the test.
 
-use graph_partition::{GreedyAdaptivePartitioner, HashPartitioner, PartitionAssignment};
+use graph_partition::PartitionAssignment;
 use graph_store::{AdjacencyGraph, NodeId, PartitionId};
-use moctopus::distributed::{DistributedPimEngine, PlacementPolicy};
-use moctopus::{MoctopusConfig, QueryStats};
+use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, QueryStats};
 use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use proptest::prelude::*;
 use rpq::ReferenceEvaluator;
@@ -121,15 +120,12 @@ fn oracle_query_timeline(
     (frontiers, timeline, expansions)
 }
 
-fn engine_for(policy_id: usize, config: MoctopusConfig) -> DistributedPimEngine {
-    let policy = if policy_id == 0 {
-        PlacementPolicy::GreedyAdaptive(GreedyAdaptivePartitioner::with_config(
-            config.partitioner_config(),
-        ))
+fn engine_for(policy_id: usize, config: MoctopusConfig) -> MoctopusSystem {
+    if policy_id == 0 {
+        MoctopusSystem::new(config)
     } else {
-        PlacementPolicy::Hash(HashPartitioner::new(config.pim.num_modules))
-    };
-    DistributedPimEngine::new(config, policy)
+        MoctopusSystem::pim_hash(config)
+    }
 }
 
 /// Loads a graph into an engine of the requested policy and checks, for each

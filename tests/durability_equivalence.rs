@@ -18,7 +18,7 @@
 
 use graph_store::wal::{decode_wal_bytes, WalOp, WalRecord, WalWriter};
 use graph_store::{Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use moctopus_server::{DurabilityOptions, DurableEngine};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -38,7 +38,7 @@ fn fresh_engine(kind: usize) -> Box<dyn GraphEngine + Send> {
     let cfg = MoctopusConfig::small_test();
     match kind {
         0 => Box::new(MoctopusSystem::new(cfg)),
-        1 => Box::new(PimHashSystem::new(cfg)),
+        1 => Box::new(MoctopusSystem::pim_hash(cfg)),
         _ => Box::new(HostBaseline::new(cfg)),
     }
 }

@@ -3,7 +3,7 @@
 //! for every workload family the paper evaluates on.
 
 use graph_store::{AdjacencyGraph, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use rpq::ReferenceEvaluator;
 
 fn edge_list(graph: &AdjacencyGraph) -> Vec<(NodeId, NodeId)> {
@@ -15,8 +15,8 @@ fn edge_list(graph: &AdjacencyGraph) -> Vec<(NodeId, NodeId)> {
 fn engines(edges: &[(NodeId, NodeId)]) -> Vec<Box<dyn GraphEngine>> {
     let cfg = MoctopusConfig::small_test();
     vec![
-        Box::new(MoctopusSystem::from_edge_stream(cfg, edges)),
-        Box::new(PimHashSystem::from_edge_stream(cfg, edges)),
+        Box::new(MoctopusSystem::new(cfg).with_edge_stream(edges)),
+        Box::new(MoctopusSystem::pim_hash(cfg).with_edge_stream(edges)),
         Box::new(HostBaseline::from_edge_stream(cfg, edges)),
     ]
 }
@@ -85,7 +85,7 @@ fn equivalence_survives_refinement_and_updates() {
     let graph = graph_gen::uniform::generate(500, 4.0, 3);
     let edges = edge_list(&graph);
     let cfg = MoctopusConfig::small_test();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(cfg, &edges);
 
     // Mutate both engines identically.
@@ -111,7 +111,7 @@ fn batch_order_does_not_change_results() {
     let graph = graph_gen::uniform::generate(400, 3.0, 17);
     let edges = edge_list(&graph);
     let cfg = MoctopusConfig::small_test();
-    let mut system = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut system = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let sources: Vec<NodeId> = vec![NodeId(5), NodeId(1), NodeId(5), NodeId(9)];
     let (results, stats) = system.k_hop_batch(&sources, 2);
     // Each batch row answers its own query, including duplicates.

@@ -15,9 +15,7 @@
 
 use graph_gen::labels::{relabel, LabelMixConfig};
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use moctopus::{
-    GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem, QueryStats,
-};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, QueryStats};
 use proptest::prelude::*;
 use rpq::PlanStrategy;
 
@@ -42,7 +40,7 @@ fn engines_at(threads: usize, edges: &[(NodeId, NodeId, Label)]) -> Vec<Box<dyn 
     let mut moctopus = MoctopusSystem::new(cfg);
     moctopus.insert_labeled_edges(edges);
     moctopus.refine_locality();
-    let mut pim_hash = PimHashSystem::new(cfg);
+    let mut pim_hash = MoctopusSystem::pim_hash(cfg);
     pim_hash.insert_labeled_edges(edges);
     let mut baseline = HostBaseline::new(cfg);
     baseline.insert_labeled_edges(edges);

@@ -6,7 +6,7 @@
 
 use graph_gen::labels::{relabel, LabelMixConfig};
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use proptest::prelude::*;
 use rpq::{parser, Nfa, ReferenceEvaluator, RpqExpr};
 
@@ -22,7 +22,7 @@ fn engines(edges: &[(NodeId, NodeId, Label)]) -> Vec<Box<dyn GraphEngine>> {
     let mut moctopus = MoctopusSystem::new(cfg);
     moctopus.insert_labeled_edges(edges);
     moctopus.refine_locality();
-    let mut pim_hash = PimHashSystem::new(cfg);
+    let mut pim_hash = MoctopusSystem::pim_hash(cfg);
     pim_hash.insert_labeled_edges(edges);
     let mut baseline = HostBaseline::new(cfg);
     baseline.insert_labeled_edges(edges);

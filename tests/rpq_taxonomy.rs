@@ -17,7 +17,7 @@
 
 use graph_gen::labels::{relabel, LabelMixConfig};
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use moctopus_bench::AQ_TAXONOMY as AQS;
 use moctopus_server::{
     CacheConfig, CacheOutcome, QueryServer, Request, RequestKind, ResponseBody, ServerConfig,
@@ -47,7 +47,7 @@ fn engines_at(
     let mut moctopus = MoctopusSystem::new(cfg);
     moctopus.insert_labeled_edges(edges);
     moctopus.refine_locality();
-    let mut pim_hash = PimHashSystem::new(cfg);
+    let mut pim_hash = MoctopusSystem::pim_hash(cfg);
     pim_hash.insert_labeled_edges(edges);
     let mut baseline = HostBaseline::new(cfg);
     baseline.insert_labeled_edges(edges);

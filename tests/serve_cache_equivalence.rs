@@ -12,7 +12,7 @@
 //! serve a stale answer or stale stats and fail the comparison.
 
 use graph_store::{Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use moctopus_server::{
     CacheConfig, CacheOutcome, ConcurrentServer, ConsistencyMode, QueryServer, Request,
     RequestKind, Response, ResponseBody, ServerConfig, Session,
@@ -80,7 +80,7 @@ fn engine_at(
             Box::new(moctopus)
         }
         1 => {
-            let mut pim_hash = PimHashSystem::new(cfg);
+            let mut pim_hash = MoctopusSystem::pim_hash(cfg);
             pim_hash.insert_labeled_edges(edges);
             Box::new(pim_hash)
         }

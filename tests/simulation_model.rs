@@ -3,7 +3,7 @@
 //! absolute numbers.
 
 use graph_store::NodeId;
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, Phase, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, Phase};
 
 fn skewed_graph(nodes: usize, seed: u64) -> (Vec<(NodeId, NodeId)>, graph_store::AdjacencyGraph) {
     let cfg = graph_gen::powerlaw::PowerLawConfig {
@@ -34,7 +34,7 @@ fn scaled_config() -> MoctopusConfig {
 fn latency_grows_with_k_and_batch_size() {
     let (edges, graph) = skewed_graph(3000, 1);
     let cfg = MoctopusConfig::paper_defaults();
-    let mut system = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut system = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let small_batch = graph_gen::stream::sample_start_nodes(&graph, 128, 3);
     let large_batch = graph_gen::stream::sample_start_nodes(&graph, 1024, 3);
 
@@ -55,7 +55,7 @@ fn moctopus_beats_the_host_baseline_on_short_queries() {
     // modules, Moctopus beats the single-core sparse-matrix baseline.
     let (edges, graph) = skewed_graph(6000, 5);
     let cfg = scaled_config();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(cfg, &edges);
     let sources = graph_gen::stream::sample_start_nodes(&graph, 4096, 9);
 
@@ -77,8 +77,8 @@ fn moctopus_reduces_ipc_versus_pim_hash() {
     // traffic relative to hash partitioning for 3-hop queries.
     let (edges, graph) = skewed_graph(4000, 7);
     let cfg = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
-    let mut pim_hash = PimHashSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
+    let mut pim_hash = MoctopusSystem::pim_hash(cfg).with_edge_stream(&edges);
     let sources = graph_gen::stream::sample_start_nodes(&graph, 1024, 11);
 
     let (_, moc) = moctopus.k_hop_batch(&sources, 3);
@@ -98,8 +98,8 @@ fn skew_hurts_pim_hash_more_than_moctopus() {
     // imbalance stays lower than PIM-hash's on skewed graphs.
     let (edges, graph) = skewed_graph(4000, 13);
     let cfg = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
-    let mut pim_hash = PimHashSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
+    let mut pim_hash = MoctopusSystem::pim_hash(cfg).with_edge_stream(&edges);
     let sources = graph_gen::stream::sample_start_nodes(&graph, 1024, 17);
 
     let (_, moc) = moctopus.k_hop_batch(&sources, 2);
@@ -122,7 +122,7 @@ fn update_speedup_matches_the_papers_direction() {
     // both insertion and deletion.
     let (edges, graph) = skewed_graph(5000, 19);
     let cfg = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(cfg, &edges);
 
     let inserts = graph_gen::stream::sample_new_edges(&graph, 8192, 21);
@@ -144,12 +144,10 @@ fn more_pim_modules_reduce_pim_compute_time() {
     let (edges, graph) = skewed_graph(3000, 29);
     let sources = graph_gen::stream::sample_start_nodes(&graph, 512, 31);
 
-    let mut small =
-        MoctopusSystem::from_edge_stream(MoctopusConfig::paper_defaults().with_modules(16), &edges);
-    let mut large = MoctopusSystem::from_edge_stream(
-        MoctopusConfig::paper_defaults().with_modules(128),
-        &edges,
-    );
+    let mut small = MoctopusSystem::new(MoctopusConfig::paper_defaults().with_modules(16))
+        .with_edge_stream(&edges);
+    let mut large = MoctopusSystem::new(MoctopusConfig::paper_defaults().with_modules(128))
+        .with_edge_stream(&edges);
     let (_, s) = small.k_hop_batch(&sources, 2);
     let (_, l) = large.k_hop_batch(&sources, 2);
     assert!(
@@ -169,8 +167,8 @@ fn communication_ratio_matches_the_platform() {
     // Results themselves never depend on the module count.
     let (edges, graph) = skewed_graph(1500, 37);
     let sources = graph_gen::stream::sample_start_nodes(&graph, 128, 39);
-    let mut a = MoctopusSystem::from_edge_stream(cfg.with_modules(8), &edges);
-    let mut b = MoctopusSystem::from_edge_stream(cfg.with_modules(64), &edges);
+    let mut a = MoctopusSystem::new(cfg.with_modules(8)).with_edge_stream(&edges);
+    let mut b = MoctopusSystem::new(cfg.with_modules(64)).with_edge_stream(&edges);
     let (ra, _) = a.k_hop_batch(&sources, 2);
     let (rb, _) = b.k_hop_batch(&sources, 2);
     assert_eq!(ra, rb);

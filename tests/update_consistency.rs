@@ -3,7 +3,7 @@
 //! and the heterogeneous storage must keep its host/PIM halves consistent.
 
 use graph_store::{AdjacencyGraph, HeterogeneousStorage, Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem};
 use proptest::prelude::*;
 
 /// One update operation in a random workload.
@@ -29,7 +29,7 @@ proptest! {
     fn engines_track_a_model_graph(ops in prop::collection::vec(op_strategy(60), 1..300)) {
         let cfg = MoctopusConfig::small_test();
         let mut moctopus = MoctopusSystem::new(cfg);
-        let mut pim_hash = PimHashSystem::new(cfg);
+        let mut pim_hash = MoctopusSystem::pim_hash(cfg);
         let mut model = AdjacencyGraph::new();
 
         for op in &ops {
@@ -108,7 +108,7 @@ fn paper_sized_update_batches_complete() {
     let graph = graph_gen::uniform::generate(4000, 4.0, 19);
     let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
     let cfg = MoctopusConfig::paper_defaults();
-    let mut moctopus = MoctopusSystem::from_edge_stream(cfg, &edges);
+    let mut moctopus = MoctopusSystem::new(cfg).with_edge_stream(&edges);
     let mut baseline = HostBaseline::from_edge_stream(cfg, &edges);
 
     let inserts = graph_gen::stream::sample_new_edges(&graph, 4096, 5);
