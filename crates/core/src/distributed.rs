@@ -20,8 +20,10 @@
 //! * general regular path queries run the same hop loop over the *product* of
 //!   the graph and the query automaton: frontier entries become
 //!   `(node, nfa_state)` pairs and rows are filtered by edge label
-//!   ([`GraphEngine::rpq_batch`]); plain `.{k}` shapes take the
-//!   k-hop fast path unchanged;
+//!   ([`GraphEngine::rpq_batch`]); the whole batch shares one sorted
+//!   frontier, so a pair that several queries stand on is scanned once and
+//!   what it produces is routed once; plain `.{k}` shapes take the k-hop
+//!   fast path unchanged;
 //! * batch updates are routed to the owning computing node and charged to the
 //!   narrow CPU↔PIM bus plus the owner's compute budget; edge labels ride
 //!   along, with the default label elided on the wire.
@@ -57,13 +59,19 @@ use moctopus_runtime::{chunk_ranges, WorkerPool};
 use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use rpq::{optimizer, LabelSpec, Nfa, PlanStrategy, RpqExpr};
 use sparse::EpochMarks;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
-/// Bytes of one routed frontier entry: the destination node id. Query
-/// membership is implicit in the per-query transfer buffers, so only the node
-/// id crosses the bus (as in the paper's column-index result matrices).
+/// Bytes of one routed frontier entry: the destination node id. An entry
+/// that belongs to one query travels in that query's transfer buffer, so
+/// only the node id crosses the bus (as in the paper's column-index result
+/// matrices). A product entry shared by several queries of a batch also
+/// carries its membership list, [`QUERY_ID_BYTES`] per member.
 const ENTRY_BYTES: u64 = 8;
+/// Bytes of one query id in the membership list of a routed product entry
+/// shared by more than one query (`u32` batch index).
+const QUERY_ID_BYTES: u64 = 4;
 /// Bytes of one routed edge: (source id, destination id). Labelled edges
 /// additionally carry [`LABEL_BYTES`]; the default [`Label::ANY`] is elided
 /// on the wire (the untyped relationship is the protocol default).
@@ -78,8 +86,9 @@ const LABEL_BYTES: u64 = 2;
 const STATE_BYTES: u64 = 2;
 
 /// What one frontier loop charges per row slot it scans and per entry it
-/// routes. Both loops share every charge formula and differ only in these
-/// widths.
+/// routes. Both loops share every charge formula and differ in these widths;
+/// the product loop also shares entries between the queries of a batch
+/// ([`shared_entry_bytes`]).
 #[derive(Debug, Clone, Copy)]
 struct Widths {
     scan: u64,
@@ -92,6 +101,16 @@ const KHOP_WIDTHS: Widths = Widths { scan: ID_BYTES, entry: ENTRY_BYTES };
 /// automaton state along with each node id.
 const PRODUCT_WIDTHS: Widths =
     Widths { scan: ID_BYTES + LABEL_BYTES, entry: ENTRY_BYTES + STATE_BYTES };
+
+/// Wire bytes of one routed product entry whose membership list holds
+/// `members` queries: the bare labelled entry for one query, plus the query
+/// ids when the entry is shared.
+fn shared_entry_bytes(members: usize) -> u64 {
+    match members {
+        1 => PRODUCT_WIDTHS.entry,
+        k => PRODUCT_WIDTHS.entry + k as u64 * QUERY_ID_BYTES,
+    }
+}
 
 /// Wire bytes of one edge label: the default label is elided, every other
 /// label costs [`LABEL_BYTES`].
@@ -206,17 +225,126 @@ impl HopCtx {
     }
 }
 
-/// Per-worker context of one NFA-product execute stage: a local product-pair
-/// dedup set (cleared per query) plus per-query candidate lists.
+/// One entry of the shared product frontier: `(node, nfa_state, query)`.
+/// A batch's frontier is one vector of these, sorted, so the member queries
+/// of a `(node, state)` pair form one contiguous run: the *shared entry*.
+type ProductEntry = (NodeId, u32, u32);
+
+/// Packs a produced product entry into one sort key whose order is
+/// `(node, state, query)`.
+fn pack_entry(node: NodeId, state: u32, query: u32) -> u128 {
+    (node.0 as u128) << 64 | (state as u128) << 32 | query as u128
+}
+
+/// Inverse of [`pack_entry`].
+fn unpack_entry(key: u128) -> ProductEntry {
+    (NodeId((key >> 64) as u64), (key >> 32) as u32, key as u32)
+}
+
+/// Per-worker context of one NFA-product execute stage: the hop's
+/// productions as packed entries, one bucket per sending computing node
+/// (slot `m` for PIM module `m`, the last slot for the host).
 ///
-/// Unlike the k-hop loop the product traversal's cross-hop dedup lives in the
-/// per-query *global* visited sets; this local set only bounds what one
-/// worker emits within one `(query, hop)` so candidate lists stay
-/// duplicate-free before the merge.
+/// Sorting a sender's bucket groups its productions by destination pair,
+/// which is both the unit a combined entry is routed in and the sender's
+/// dedup of its candidates; the merge then drains the sorted buckets.
+/// Unlike the k-hop loop the product traversal's cross-hop dedup lives in
+/// the batch's global [`VisitedTable`], which only the merge consults.
 #[derive(Debug, Clone, Default)]
 struct NfaHopCtx {
-    seen: HashSet<(NodeId, u32)>,
-    nexts: Vec<Vec<(NodeId, u32)>>,
+    routes: Vec<Vec<u128>>,
+}
+
+/// The queries that reached one product pair.
+#[derive(Clone, Copy)]
+enum Members {
+    /// Exactly one query, kept inline: an unshared pair allocates nothing.
+    One(u32),
+    /// Two or more queries: an index into [`VisitedTable`]'s ascending
+    /// lists.
+    List(usize),
+}
+
+/// The visited product pairs of one product batch: for every reached
+/// `(node, state)` pair, the ascending ids of the queries that reached it.
+///
+/// This is every query's global visited set at once, stored pair-major like
+/// the shared frontier. The merge visits candidates in `(node, state,
+/// query)` order, so it looks a pair up once per candidate group instead of
+/// taking one cold probe per candidate in per-query sets. A pair reached by
+/// one query keeps its id inline; a shared pair holds one `u32` per member.
+#[derive(Default)]
+struct VisitedTable {
+    rows: HashMap<(NodeId, u32), Members>,
+    lists: Vec<Vec<u32>>,
+}
+
+impl VisitedTable {
+    /// Marks `queries` (ascending, duplicate-free) as having reached
+    /// `(node, state)`, and pushes `(node, state, q)` onto `fresh` for every
+    /// query that had not reached it before, in ascending query order.
+    fn admit(
+        &mut self,
+        node: NodeId,
+        state: u32,
+        queries: impl Iterator<Item = u32>,
+        fresh: &mut Vec<ProductEntry>,
+    ) {
+        let first = fresh.len();
+        let list = match self.rows.entry((node, state)) {
+            Entry::Vacant(slot) => {
+                fresh.extend(queries.map(|q| (node, state, q)));
+                match fresh[first..] {
+                    [] => {}
+                    [(_, _, q)] => {
+                        slot.insert(Members::One(q));
+                    }
+                    ref shared => {
+                        slot.insert(Members::List(self.lists.len()));
+                        self.lists.push(shared.iter().map(|&(_, _, q)| q).collect());
+                    }
+                }
+                return;
+            }
+            Entry::Occupied(mut slot) => match *slot.get() {
+                Members::One(known) => {
+                    fresh.extend(queries.filter(|&q| q != known).map(|q| (node, state, q)));
+                    if fresh.len() == first {
+                        return;
+                    }
+                    slot.insert(Members::List(self.lists.len()));
+                    self.lists.push(vec![known]);
+                    self.lists.len() - 1
+                }
+                Members::List(i) => {
+                    let members = &self.lists[i];
+                    fresh.extend(
+                        queries
+                            .filter(|q| members.binary_search(q).is_err())
+                            .map(|q| (node, state, q)),
+                    );
+                    if fresh.len() == first {
+                        return;
+                    }
+                    i
+                }
+            },
+        };
+        // Two ascending runs: the stable sort merges them in linear time.
+        let members = &mut self.lists[list];
+        members.extend(fresh[first..].iter().map(|&(_, _, q)| q));
+        members.sort();
+    }
+
+    /// Every visited pair with the queries that reached it, in arbitrary
+    /// order.
+    fn pairs(&self) -> impl Iterator<Item = ((NodeId, u32), &[u32])> + '_ {
+        // moctopus-lint: allow(hash-iter-order, reason = "callers union pairs into commutative sets or into per-query answers they sort")
+        self.rows.iter().map(|(&pair, members)| match members {
+            Members::One(q) => (pair, std::slice::from_ref(q)),
+            Members::List(i) => (pair, self.lists[*i].as_slice()),
+        })
+    }
 }
 
 /// The inputs a planned (non-forward) execution adds to the product loop.
@@ -758,6 +886,18 @@ impl MoctopusSystem {
         }
     }
 
+    /// The computing node `at` copies a `members`-query membership list into
+    /// one outgoing entry: one instruction per member, on the module (or the
+    /// host) that expands the shared entry.
+    fn charge_membership_copy(&self, at: PartitionId, members: usize, delta: &mut StatsDelta) {
+        match at {
+            PartitionId::Host => delta.host_time += self.pim.host_instructions_cost(members as u64),
+            PartitionId::Pim(m) => {
+                delta.per_module[m as usize] += self.pim.pim_instructions_cost(members as u64);
+            }
+        }
+    }
+
     /// Charges one merged hop delta: the slowest module, the host compute,
     /// the CPC gather, and inter-PIM forwarding. UPMEM has no hardware path
     /// for the latter: besides the double bus crossing, the host CPU inspects
@@ -1057,28 +1197,34 @@ impl MoctopusSystem {
 
         // Base: pairs one matching transition away from an accepting pair.
         // Every discovered pair is gathered to the coordinating host.
-        for (q_acc, rev_row) in rev.iter().enumerate() {
-            if !nfa.is_accepting(q_acc) {
-                continue;
-            }
-            for &(spec, from) in rev_row {
-                match accept_nodes {
-                    None => {
-                        for n in self.spec_sources(spec, delta) {
-                            if useful.insert((n, from as u32)) {
-                                work.push((n, from as u32));
-                                delta.cpc_bytes += PRODUCT_WIDTHS.entry;
-                            }
+        let base: Vec<(LabelSpec, usize)> = rev
+            .iter()
+            .enumerate()
+            .filter(|&(q_acc, _)| nfa.is_accepting(q_acc))
+            .flat_map(|(_, rev_row)| rev_row.iter().copied())
+            .collect();
+        match accept_nodes {
+            None => {
+                for &(spec, from) in &base {
+                    for n in self.spec_sources(spec, delta) {
+                        if useful.insert((n, from as u32)) {
+                            work.push((n, from as u32));
+                            delta.cpc_bytes += PRODUCT_WIDTHS.entry;
                         }
                     }
-                    Some(ms) => {
-                        for &m in ms {
-                            self.charge_rev_scan(m, delta);
-                            for &(n, label) in self.rev_row_of(m) {
-                                if spec.matches(label) && useful.insert((n, from as u32)) {
-                                    work.push((n, from as u32));
-                                    delta.cpc_bytes += PRODUCT_WIDTHS.entry;
-                                }
+                }
+            }
+            // Each accept node's reverse row is scanned once, and every
+            // base transition is tested against each of its slots.
+            Some(_) if base.is_empty() => {}
+            Some(ms) => {
+                for &m in ms {
+                    self.charge_rev_scan(m, delta);
+                    for &(n, label) in self.rev_row_of(m) {
+                        for &(spec, from) in &base {
+                            if spec.matches(label) && useful.insert((n, from as u32)) {
+                                work.push((n, from as u32));
+                                delta.cpc_bytes += PRODUCT_WIDTHS.entry;
                             }
                         }
                     }
@@ -1086,11 +1232,17 @@ impl MoctopusSystem {
             }
         }
 
-        // Closure: walk product transitions backward over reverse rows.
+        // Closure: walk product transitions backward over reverse rows. A
+        // popped pair scans its node's reverse row once and tests every
+        // reverse transition of its state against each slot.
         while let Some((n, q)) = work.pop() {
-            for &(spec, p) in &rev[q as usize] {
-                self.charge_rev_scan(n, delta);
-                for &(m, label) in self.rev_row_of(n) {
+            let transitions = &rev[q as usize];
+            if transitions.is_empty() {
+                continue;
+            }
+            self.charge_rev_scan(n, delta);
+            for &(m, label) in self.rev_row_of(n) {
+                for &(spec, p) in transitions {
                     if spec.matches(label) && useful.insert((m, p as u32)) {
                         work.push((m, p as u32));
                         delta.cpc_bytes += PRODUCT_WIDTHS.entry;
@@ -1172,12 +1324,23 @@ impl MoctopusSystem {
 
     /// The one NFA-product loop behind every labelled plan.
     ///
+    /// The batch shares **one frontier per hop**: the sorted
+    /// `(node, state, query)` triples of every query, in which the member
+    /// queries of one `(node, state)` pair form a contiguous run, the
+    /// *shared entry*. Its row is scanned once per hop however many queries
+    /// stand on it, and what it produces is routed once per destination
+    /// pair (see [`MoctopusSystem::nfa_hop_worker`]). Each query still has
+    /// its own visited set — its id in the member lists of the batch's
+    /// [`VisitedTable`] — so answers, `hops`, `matched_pairs` and
+    /// `expansions` (counted per `(pair, query)`) are those of running
+    /// every query alone; only the simulated charges are shared.
+    ///
     /// The tracked entry point passes a deps accumulator filled from the
-    /// per-query visited sets (which contain every visited product pair,
-    /// sources included) and the merged per-hop deltas (host lane). A
-    /// planned execution passes its [`PlannedLeg`]: the preamble is charged
-    /// before dispatch, and both filters act only on merged state, so the
-    /// determinism argument of the forward plan covers them unchanged.
+    /// visited table (every visited product pair, sources included) and the
+    /// merged per-hop deltas (host lane). A planned execution passes its
+    /// [`PlannedLeg`]: the preamble is charged before dispatch, and both
+    /// filters act only on merged state, so the determinism argument of the
+    /// forward plan covers them unchanged.
     fn nfa_product_batch_impl(
         &mut self,
         nfa: &Nfa,
@@ -1200,112 +1363,93 @@ impl MoctopusSystem {
         };
         self.charge_dispatch(sources, PRODUCT_WIDTHS.entry, &mut timeline);
 
-        // Per-query visited sets are hash sets, not the k-hop loop's
-        // `EpochMarks`: those dedup per `(query, hop)` generation, but the
-        // product traversal needs every query's set to *persist across hops*
-        // simultaneously, and one shared generation-stamped array cannot hold
-        // `batch` interleaved persistent sets (per-query stamp arrays would
-        // cost `nodes × states × batch` memory, where hash sets stay
-        // proportional to what each query actually visits).
         let start = nfa.start() as u32;
-        let is_useful = |pair: &(NodeId, u32)| useful.is_none_or(|set| set.contains(pair));
-        let mut visited: Vec<HashSet<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                let mut seen = HashSet::new();
-                seen.insert((s, start));
-                seen
-            })
-            .collect();
+        let is_useful = |&(node, state, _): &ProductEntry| {
+            useful.is_none_or(|set| set.contains(&(node, state)))
+        };
+        let mut starts: Vec<ProductEntry> =
+            sources.iter().zip(0u32..).map(|(&s, q)| (s, start, q)).collect();
+        starts.sort_unstable();
+        let mut visited = VisitedTable::default();
+        let mut frontier: Vec<ProductEntry> = Vec::with_capacity(starts.len());
+        for shared in starts.chunk_by(|a, b| a.0 == b.0) {
+            visited.admit(shared[0].0, start, shared.iter().map(|e| e.2), &mut frontier);
+        }
         // A start pair outside the useful set can only contribute the empty
         // path, which is read out of `visited` like every other answer.
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| if is_useful(&(s, start)) { vec![(s, start)] } else { Vec::new() })
-            .collect();
-        let mut next_frontiers: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); frontiers.len()];
+        frontier.retain(is_useful);
+        let mut candidates: Vec<u128> = Vec::new();
         let mut hops = 0usize;
 
         let width = self.layout_width();
         let mut ctxs = take_ctxs(&mut self.nfa_ctxs, width);
 
-        while frontiers.iter().any(|f| !f.is_empty()) {
+        while !frontier.is_empty() {
             hops += 1;
-            let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
-            expansions += frontier_entries;
-            for buf in next_frontiers.iter_mut() {
-                buf.clear();
-            }
+            expansions += frontier.len();
 
-            // ---- execute: workers expand their modules' product entries,
-            // reading the per-query visited sets as an immutable snapshot
-            // (they are only extended at the merge barrier below).
+            // ---- execute: workers expand their modules' shared entries.
             let (active, delta) =
-                self.run_hop(&mut ctxs, frontier_entries, &mut timeline, |this, lane, ctx| {
-                    this.nfa_hop_worker(lane, nfa, &frontiers, &visited, ctx)
+                self.run_hop(&mut ctxs, frontier.len(), &mut timeline, |this, lane, ctx| {
+                    this.nfa_hop_worker(lane, nfa, &frontier, ctx)
                 });
 
-            // ---- merge: the frontier union. Candidates were filtered
-            // against the visited snapshot and deduplicated per worker, so
-            // after the sorted cross-worker dedup every surviving pair enters
-            // the visited set — producing exactly the sequential loop's
-            // sorted, duplicate-free next frontier and exactly its
-            // visited-set growth. Only then does a planned leg prune the next
-            // frontier to useful pairs.
-            for (q, next) in next_frontiers.iter_mut().enumerate() {
-                for ctx in &mut ctxs[..active] {
-                    next.append(&mut ctx.nexts[q]);
+            // ---- merge: the frontier union. Every sender's candidates are
+            // sorted and duplicate-free, so one run-merging sort and a dedup
+            // give the hop's candidates in `(node, state, query)` order. A
+            // triple enters the next frontier exactly when its query is new
+            // to the pair's visited members — each query's duplicate-free
+            // next frontier and exactly its visited-set growth, already
+            // sorted. Only then does a planned leg prune the next frontier
+            // to useful pairs.
+            candidates.clear();
+            for ctx in &mut ctxs[..active] {
+                for bucket in &mut ctx.routes {
+                    candidates.append(bucket);
                 }
-                next.sort_unstable();
-                next.dedup();
-                for &pair in next.iter() {
-                    visited[q].insert(pair);
-                }
-                if useful.is_some() {
-                    next.retain(is_useful);
-                }
+            }
+            candidates.sort();
+            candidates.dedup();
+            frontier.clear();
+            for group in candidates.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let (node, state, _) = unpack_entry(group[0]);
+                visited.admit(node, state, group.iter().map(|&key| key as u32), &mut frontier);
+            }
+            if useful.is_some() {
+                frontier.retain(is_useful);
             }
             if let Some(deps) = track.as_deref_mut() {
                 // Merged-delta host time is thread-count invariant.
                 deps.host_lane |= !delta.host_time.is_zero();
             }
-            std::mem::swap(&mut frontiers, &mut next_frontiers);
         }
         put_ctxs(&mut self.nfa_ctxs, ctxs);
 
         if let Some(deps) = track {
-            // The visited sets hold every reached product pair — sources
-            // included — so they are exactly the node-dependency set. The
-            // mask union is commutative, so hash-set iteration order is
-            // irrelevant.
-            for seen in &visited {
-                // moctopus-lint: allow(hash-iter-order, reason = "set-union into DepMask is commutative; see comment above")
-                for &(node, _) in seen {
-                    deps.nodes.insert(node);
-                }
+            // The visited table holds every reached product pair — sources
+            // included — so its nodes are exactly the node-dependency set.
+            for ((node, _), _) in visited.pairs() {
+                deps.nodes.insert(node);
             }
         }
 
         // Every visited accepting product state contributes its node to the
-        // query's answer; a node reached in several accepting states is
-        // reported once.
-        let results: Vec<Vec<NodeId>> = visited
-            .iter()
-            .map(|seen| {
-                // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_unstable + dedup below before use")
-                let mut nodes: Vec<NodeId> = seen
-                    .iter()
-                    .filter(|&&(node, state)| {
-                        nfa.is_accepting(state as usize)
-                            && accept_nodes.is_none_or(|set| set.contains(&node))
-                    })
-                    .map(|&(node, _)| node)
-                    .collect();
-                nodes.sort_unstable();
-                nodes.dedup();
-                nodes
-            })
-            .collect();
+        // answers of the queries that reached it; a node reached in several
+        // accepting states is reported once.
+        let mut results: Vec<Vec<NodeId>> = vec![Vec::new(); sources.len()];
+        for ((node, state), members) in visited.pairs() {
+            if nfa.is_accepting(state as usize)
+                && accept_nodes.is_none_or(|set| set.contains(&node))
+            {
+                for &q in members {
+                    results[q as usize].push(node);
+                }
+            }
+        }
+        for nodes in &mut results {
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
 
         let matched_pairs: usize = results.iter().map(Vec::len).sum();
         self.charge_gather_reduce(matched_pairs, &mut timeline);
@@ -1317,45 +1461,64 @@ impl MoctopusSystem {
     /// One worker's share of an NFA-product execute stage (the labelled
     /// generalisation of [`MoctopusSystem::khop_hop_worker`]).
     ///
-    /// Same ownership discipline: the worker walks every query's frontier in
-    /// global order, expands only product entries whose node row lives on its
-    /// modules (or the host for the host-lane worker), and charges into its
-    /// private delta. A candidate `(node, state)` pair is emitted when it is
-    /// new to both the query's visited snapshot (immutable during the hop)
-    /// and the worker's per-query local set; byte charges are per matched
-    /// transition, unconditional, exactly as in the sequential loop.
+    /// Same ownership discipline: the worker walks the shared frontier in its
+    /// global sorted order, expands only the shared entries whose node row
+    /// lives on its modules (or the host for the host-lane worker), and
+    /// charges into its private delta. Each such row is scanned **once**;
+    /// every matched transition produces `(node, state')` for each member
+    /// query, and an entry with k > 1 members also pays k instructions to
+    /// copy its membership list. Each sender's productions are then grouped
+    /// per `(node, state')`: one group is routed as **one** combined entry
+    /// whose membership list holds the group's distinct queries
+    /// ([`shared_entry_bytes`]), and the sorted, duplicate-free bucket is
+    /// left for the merge as the sender's candidates. A sender is owned by
+    /// exactly one worker, so every group is complete within one worker,
+    /// and route charges are integers.
     fn nfa_hop_worker(
         &self,
         lane: &Lane,
         nfa: &Nfa,
-        frontiers: &[Vec<(NodeId, u32)>],
-        visited: &[HashSet<(NodeId, u32)>],
+        frontier: &[ProductEntry],
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
-        let mut delta = StatsDelta::new(self.config.pim.num_modules);
-        ctx.nexts.resize(frontiers.len(), Vec::new());
-        for (q, frontier) in frontiers.iter().enumerate() {
-            let next = &mut ctx.nexts[q];
-            let snapshot = &visited[q];
-            ctx.seen.clear();
-            for &(v, state) in frontier {
-                let transitions = nfa.transitions_from(state as usize);
-                self.expand_row(lane, v, PRODUCT_WIDTHS.scan, &mut delta, |delta, at, u, label| {
-                    for &(spec, next_state) in transitions {
-                        if !spec.matches(label) {
-                            continue;
-                        }
-                        self.charge_route(at, u, PRODUCT_WIDTHS.entry, delta);
-                        // Local-set first: duplicate productions (the
-                        // common case under closures) cost one hash
-                        // probe; the visited snapshot is consulted only
-                        // on first local sight.
-                        let pair = (u, next_state as u32);
-                        if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
-                            next.push(pair);
-                        }
+        let module_count = self.config.pim.num_modules;
+        let mut delta = StatsDelta::new(module_count);
+        let routes = &mut ctx.routes;
+        routes.resize_with(module_count + 1, Vec::new);
+        for shared in frontier.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (v, state, _) = shared[0];
+            let transitions = nfa.transitions_from(state as usize);
+            self.expand_row(lane, v, PRODUCT_WIDTHS.scan, &mut delta, |delta, at, u, label| {
+                let bucket = match at {
+                    PartitionId::Pim(m) => &mut routes[m as usize],
+                    PartitionId::Host => &mut routes[module_count],
+                };
+                for &(spec, next_state) in transitions {
+                    if !spec.matches(label) {
+                        continue;
                     }
-                });
+                    if shared.len() > 1 {
+                        self.charge_membership_copy(at, shared.len(), delta);
+                    }
+                    let next_state = next_state as u32;
+                    bucket.extend(shared.iter().map(|&(_, _, q)| pack_entry(u, next_state, q)));
+                }
+            });
+        }
+        for (slot, bucket) in routes.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let at = if slot == module_count {
+                PartitionId::Host
+            } else {
+                PartitionId::Pim(slot as u32)
+            };
+            bucket.sort_unstable();
+            bucket.dedup();
+            for group in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let (u, _, _) = unpack_entry(group[0]);
+                self.charge_route(at, u, shared_entry_bytes(group.len()), &mut delta);
             }
         }
         delta
@@ -1565,9 +1728,18 @@ impl GraphEngine for MoctopusSystem {
     /// node owning its row, every produced entry that leaves the module is
     /// charged to the inter-PIM or CPC bus, each hop's PIM latency is the
     /// slowest module, and the final result is gathered and reduced on the
-    /// host. Only the widths differ: a label-constrained row scan reads the
-    /// id and label arrays (`ID_BYTES + LABEL_BYTES` per slot) and a routed
+    /// host. The widths differ: a label-constrained row scan reads the id
+    /// and label arrays (`ID_BYTES + LABEL_BYTES` per slot) and a routed
     /// entry carries its automaton state (`ENTRY_BYTES + STATE_BYTES`).
+    ///
+    /// And the batch shares its frontier: queries standing on the same
+    /// `(node, state)` in the same hop form one *shared entry*, whose row is
+    /// scanned once. What a computing node produces for one `(node, state')`
+    /// in a hop is routed once, as one entry that also carries the `u32` ids
+    /// of its member queries when there are several (`QUERY_ID_BYTES` each,
+    /// plus one instruction per member to copy the list per matched
+    /// transition). Answers and workload counters are those of running each
+    /// query alone; only the simulated cost is shared.
     ///
     /// A node is reported for a query as soon as *some* visited product state
     /// is accepting; if the automaton accepts the empty path the source
@@ -2347,6 +2519,81 @@ mod tests {
             "bidirectional simulated latency {:?} should beat forward's {:?}",
             bidi_stats.latency(),
             fwd_stats.latency()
+        );
+    }
+
+    /// The backward sweep scans a popped pair's reverse row once, however
+    /// many reverse transitions its state has. In `1+/8` the `1` position
+    /// has two (from the start state and from its own loop), so a sweep that
+    /// scanned once per transition would charge every such row twice.
+    #[test]
+    fn useful_pairs_scans_each_reverse_row_once_per_popped_pair() {
+        let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
+        for i in 0..40u64 {
+            edges.push((NodeId(i), NodeId((i + 1) % 40), Label(1)));
+            edges.push((NodeId(i), NodeId((i * 7 + 3) % 40), Label(1)));
+        }
+        for i in 0..8u64 {
+            edges.push((NodeId(i * 5), NodeId(100 + i), Label(8)));
+        }
+        let mut engine = moctopus_engine();
+        engine.insert_labeled_edges(&edges);
+        assert_eq!(engine.host_row_count(), 0, "every reverse row is PIM-resident");
+
+        let nfa = Nfa::from_expr(&rpq::parser::parse("1+/8").expect("query parses"));
+        let rev = nfa.reversed_transitions();
+        assert!(rev.iter().any(|r| r.len() > 1), "some state has several reverse transitions");
+        let modules = engine.config.pim.num_modules;
+        let mut delta = StatsDelta::new(modules);
+        let useful = engine.useful_pairs(&nfa, None, &mut delta);
+        assert!(!useful.is_empty());
+
+        // Every useful pair is pushed, and popped, exactly once; a popped
+        // pair whose state has a reverse transition scans its row once.
+        let mut popped: Vec<(NodeId, u32)> =
+            useful.iter().copied().filter(|&(_, q)| !rev[q as usize].is_empty()).collect();
+        popped.sort_unstable();
+        let mut expected = StatsDelta::new(modules);
+        for &(n, _) in &popped {
+            engine.charge_rev_scan(n, &mut expected);
+        }
+        for m in 0..modules {
+            let (got, want) = (delta.per_module[m].as_nanos(), expected.per_module[m].as_nanos());
+            assert!(
+                (got - want).abs() <= 1e-9 * want.max(1.0),
+                "module {m}: backward sweep charged {got} ns, one scan per popped pair is {want} ns"
+            );
+        }
+    }
+
+    /// A batch that repeats a source stands on one shared entry per hop: the
+    /// row is scanned once, and every produced entry is routed once, with
+    /// the two query ids appended, instead of once per copy.
+    #[test]
+    fn duplicate_sources_share_scans_and_routed_entries() {
+        let edges: Vec<(NodeId, NodeId, Label)> =
+            (0..64u64).map(|i| (NodeId(i), NodeId((i * 5 + 1) % 64), Label(1))).collect();
+        let expr = rpq::parser::parse("1/1/1").expect("query parses");
+        let mut engine = hash_engine();
+        engine.insert_labeled_edges(&edges);
+
+        let (one, single) = engine.rpq_batch(&expr, &[NodeId(3)]);
+        let (two, double) = engine.rpq_batch(&expr, &[NodeId(3), NodeId(3)]);
+        assert_eq!(two, vec![one[0].clone(), one[0].clone()]);
+        assert_eq!(double.expansions, 2 * single.expansions);
+        assert_eq!(double.matched_pairs, 2 * single.matched_pairs);
+
+        let (s, d) = (single.timeline.transfers, double.timeline.transfers);
+        assert!(s.inter_pim_messages > 0, "hash placement forwards between modules");
+        assert_eq!(d.inter_pim_messages, s.inter_pim_messages, "one routed entry per destination");
+        assert_eq!(
+            d.inter_pim_bytes,
+            s.inter_pim_messages * (PRODUCT_WIDTHS.entry + 2 * QUERY_ID_BYTES),
+            "a shared entry carries both query ids"
+        );
+        assert!(
+            double.timeline.time(Phase::PimCompute) < single.timeline.time(Phase::PimCompute) * 2.0,
+            "the shared row is scanned once"
         );
     }
 

@@ -65,6 +65,12 @@ pub trait GraphEngine {
     /// k-hop shapes (`.{k}`, see [`RpqExpr::as_k_hop`]) must take the
     /// engine's k-hop path, which is what [`GraphEngine::k_hop_batch`]
     /// reaches.
+    ///
+    /// Each source's answer does not depend on the rest of the batch, but
+    /// the simulated cost may: the PIM engines share labelled product
+    /// frontier entries between the queries of one batch, so there a batch
+    /// never costs more than its sources run one at a time, and may cost
+    /// less.
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats);
 
     /// [`GraphEngine::rpq_batch`] executed under an explicit plan strategy —
